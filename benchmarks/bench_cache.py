@@ -5,7 +5,7 @@ Four legs, numbers recorded in ``BENCH_pr8.json``:
 * **cold populate** -- first read through an empty cache: full parse
   plus the price of packing + checksumming every entry to disk.  This
   is the worst case; it bounds the write-side overhead vs an uncached
-  read (compare against ``bench_parallel_parse.py::test_parse_serial``).
+  ``store.read_all()``.
 * **warm hit** -- the same store re-read with every entry present:
   hash + unpickle only, zero files re-parsed (asserted, not assumed).
 * **delta ingest** -- one fresh daily segment appears in an otherwise
@@ -26,18 +26,17 @@ import pytest
 
 from repro.core.pipeline import HolisticDiagnosis
 from repro.logs.cache import ParseCache
-from repro.logs.parallel import parallel_read
-from repro.logs.record import LogSource
 from repro.logs.store import LogStore
 
 
 @pytest.fixture(scope="module")
 def warm_store(store_s3, tmp_path_factory):
     """store_s3 wrapped in a fully populated cache (hits only)."""
-    store = store_s3.with_cache(
-        tmp_path_factory.mktemp("warm") / "parse-cache")
-    parallel_read(store)
-    return store
+    root = tmp_path_factory.mktemp("warm") / "parse-cache"
+    store_s3.with_cache(root).read_all()
+    # a fresh instance over the populated directory: its counters see
+    # only the benchmarked reads
+    return store_s3.with_cache(ParseCache(root))
 
 
 def test_cache_cold_populate(benchmark, store_s3, tmp_path_factory):
@@ -45,14 +44,14 @@ def test_cache_cold_populate(benchmark, store_s3, tmp_path_factory):
         root = tmp_path_factory.mktemp("cold") / "parse-cache"
         return (store_s3.with_cache(root),), {}
 
-    by_source = benchmark.pedantic(
-        parallel_read, setup=fresh, rounds=5, warmup_rounds=1)
-    assert by_source[LogSource.CONSOLE]
+    records = benchmark.pedantic(
+        LogStore.read_all, setup=fresh, rounds=5, warmup_rounds=1)
+    assert records
 
 
 def test_cache_warm_hit(benchmark, warm_store):
-    by_source = benchmark(parallel_read, warm_store)
-    assert by_source[LogSource.CONSOLE]
+    records = benchmark(warm_store.read_all)
+    assert records
     # the property the leg exists to price: hits only, nothing re-parsed
     assert warm_store.cache.hits and not warm_store.cache.misses
 
@@ -61,7 +60,7 @@ def test_cache_delta_ingest(benchmark, store_s3, tmp_path_factory):
     root = tmp_path_factory.mktemp("delta") / "store"
     shutil.copytree(store_s3.root, root)
     store = LogStore(root, cache=tmp_path_factory.mktemp("dc") / "pc")
-    parallel_read(store)                      # warm everything up front
+    store.read_all()                          # warm everything up front
     fresh_day = itertools.count(1)
     head = (root / "p0" / "console.log").read_text().splitlines(True)[:4]
 
@@ -73,9 +72,9 @@ def test_cache_delta_ingest(benchmark, store_s3, tmp_path_factory):
         seg.write_text("".join(head) + f"# delta round {day}\n")
         return (store,), {}
 
-    by_source = benchmark.pedantic(
-        parallel_read, setup=one_new_segment, rounds=5, warmup_rounds=1)
-    assert by_source[LogSource.CONSOLE]
+    records = benchmark.pedantic(
+        LogStore.read_all, setup=one_new_segment, rounds=5, warmup_rounds=1)
+    assert records
 
 
 def test_cache_warm_construction(benchmark, warm_store):

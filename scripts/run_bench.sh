@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # Benchmark gate for the ingestion + analysis perf engine (PR 3).
 #
-# Runs the three perf-target benchmark files with pytest-benchmark and
+# Runs the two perf-target benchmark files with pytest-benchmark and
 # refreshes the "after" column of BENCH_pr3.json.  The "before" column
 # is a committed baseline captured from the pre-PR revision; pass a
 # pytest-benchmark JSON via BENCH_BEFORE to re-baseline (run the same
-# three files from a worktree at the old revision):
+# two files from a worktree at the old revision):
 #
 #   scripts/run_bench.sh                      # refresh after numbers
 #   BENCH_BEFORE=/tmp/old.json scripts/run_bench.sh   # re-baseline too
 #
 # Numbers are min-of-rounds in milliseconds; see docs/PERFORMANCE.md
-# for how to read them (and why test_parse_parallel is hardware-bound
-# on single-core runners).
+# for how to read them.
 #
 # A second stanza runs the persistent parse-cache legs (PR 8,
 # benchmarks/bench_cache.py) and refreshes the min_ms figures in
@@ -38,7 +37,6 @@ trap 'rm -f "$RAW"' EXIT
 
 python -m pytest \
     benchmarks/bench_tolerant_parse.py \
-    benchmarks/bench_parallel_parse.py \
     benchmarks/bench_full_pipeline.py \
     -q --benchmark-only --benchmark-json="$RAW"
 
@@ -101,7 +99,6 @@ after = {
 # uncached baselines, timed right here so both columns share a machine
 from repro.core.pipeline import HolisticDiagnosis
 from repro.experiments.scenarios import materialize
-from repro.logs.parallel import parallel_read
 
 store = materialize("s3", seed=7)
 
@@ -115,7 +112,7 @@ def best(fn, rounds=5):
     return min(times)
 
 
-read_ms = best(lambda: parallel_read(store))
+read_ms = best(store.read_all)
 build_ms = best(lambda: HolisticDiagnosis.from_store(store))
 base_for = {
     "test_cache_cold_populate": read_ms,
@@ -126,7 +123,7 @@ base_for = {
 
 doc = json.load(open(OUT))
 doc["baselines_ms"] = {
-    "uncached_parallel_read": round(read_ms, 2),
+    "uncached_read_all": round(read_ms, 2),
     "uncached_pipeline_construction": round(build_ms, 2),
 }
 for name, ms in sorted(after.items()):

@@ -18,8 +18,9 @@
 #      the cache-transparency legs (cached, warm, post-corruption runs
 #      must hash identically to the uncached goldens)
 #   5. parse-cache warm-run smoke: focused re-run of the delta-only
-#      ingest properties (warm run parses zero files, changed dirs
-#      parse only the delta); tests/logs/test_parallel.py
+#      ingest properties on the product read path (warm run parses
+#      zero files, changed dirs parse only the delta);
+#      tests/logs/test_cache.py::TestStoreIntegration
 #   6. BG/Q dialect smoke: the bgq-ras platform catalog end-to-end
 #      (scenario -> store -> cached ingest -> report) plus dialect
 #      sniffing and per-catalog cache isolation
@@ -62,9 +63,9 @@ python -m pytest tests/core/test_parity_gate.py -m parity -q
 echo "== parse-cache warm-run smoke (zero files re-parsed) =="
 # part of tier-1 too; the focused re-run isolates the cache property
 # that matters operationally -- a warm second run must serve every
-# file from cache (no parses, no pool fork) and a changed directory
-# must parse only the delta
-python -m pytest tests/logs/test_parallel.py::TestDeltaOnlyIngest -q
+# file from cache (no parses) and a changed directory must parse only
+# the delta
+python -m pytest tests/logs/test_cache.py::TestStoreIntegration -q
 
 echo "== BG/Q dialect smoke (second catalog through the same pipeline) =="
 # the pluggable-catalog gate: the bgq-ras scenario must ingest, cache,

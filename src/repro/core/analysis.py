@@ -195,12 +195,7 @@ class AnalysisRegistry:
                      if source in s.required_sources)
 
     def source_dependents(self) -> dict[LogSource, tuple[str, ...]]:
-        """The derived source -> dependent-analyses table.
-
-        This is the registry-backed replacement for the old hardcoded
-        ``SOURCE_DEPENDENT_ANALYSES`` module constant (which remains as
-        a compatibility alias computed from this query).
-        """
+        """The derived source -> dependent-analyses table."""
         table: dict[LogSource, tuple[str, ...]] = {}
         for source in LogSource:
             dependents = self.dependents(source)

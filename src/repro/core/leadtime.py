@@ -113,17 +113,6 @@ class LeadTimeSummary:
         return self.enhanceable / self.failures if self.failures else 0.0
 
 
-def _external_candidates(
-    index: ExternalIndex,
-) -> tuple[dict[str, list[tuple[float, str]]], dict[str, list[tuple[float, str]]]]:
-    """Precursor events keyed by node (node-scoped) and blade (blade-wide).
-
-    Thin wrapper kept for compatibility -- the split itself is cached on
-    the index (:attr:`ExternalIndex.precursor_candidates`).
-    """
-    return index.precursor_candidates
-
-
 def indicative_times_by_node(
     internal: Iterable[ParsedRecord],
     stream: Optional["StreamIndex"] = None,

@@ -7,7 +7,8 @@ RAS/syslog archives only stays tractable by ingesting incrementally --
 this module is that discipline for the batch readers: a cold run
 populates the cache, a warm run loads parsed records straight from disk
 with **zero re-parse**, and a changed directory parses only the delta
-files (see :func:`repro.logs.parallel.parallel_read`).
+files (every ``LogStore`` read routes each file through
+:meth:`ParseCache.parse`).
 
 Key scheme
 ----------
@@ -36,8 +37,8 @@ raised.  One cached parse therefore serves every policy byte-for-byte.
 
 Wire format and self-healing
 ----------------------------
-The payload is the columnar pool wire format already defined in
-:mod:`repro.logs.parallel` (eight flat columns, pickled with protocol
+The payload is a columnar record layout (eight flat columns, one per
+:class:`~repro.logs.parsing.ParsedRecord` field, pickled with protocol
 5 -- entries are local artifacts written and read only by this
 package), published through the atomic checksummed blob writer in
 :mod:`repro.core.artifacts`.  A rotted entry (truncation, bit flips,
@@ -238,34 +239,6 @@ class ParseCache:
         self._store_entry(self.entry_path(content, env), entry)
         return self._adapt(entry, policy, path, records=records)
 
-    def lookup(
-        self,
-        path: Path,
-        parser: LineParser,
-        policy: ErrorPolicy = ErrorPolicy.SKIP,
-    ) -> Optional[tuple[list[ParsedRecord], SourceHealth, list[str]]]:
-        """Hit-only probe: the adapted triple on a hit, ``None`` on a miss.
-
-        Never parses.  This is what delta-only ingest is built from:
-        :func:`repro.logs.parallel.parallel_read` probes every file in
-        the parent with this, then ships only the misses -- the *delta*
-        -- to the worker pool.  Counts a miss neither here nor in the
-        metrics; the caller owns what happens to the file next.
-
-        Raises :class:`IngestionError` exactly when the cached parse
-        would: an unreadable file, or a ``strict`` policy against an
-        entry holding malformed lines.
-        """
-        from repro.logs.store import _load_log_text
-
-        text, _retried = _load_log_text(path)
-        entry = self._load_entry(
-            self.entry_path(_content_hash(text),
-                            self._env_fingerprint(parser)), path)
-        if entry is None:
-            return None
-        return self._adapt(entry, policy, path)
-
     # ------------------------------------------------------------------
     # entry I/O
     # ------------------------------------------------------------------
@@ -273,15 +246,8 @@ class ParseCache:
         """Load and validate one entry; evict and return None on rot."""
         if not entry_path.is_file():
             return None
-        try:
-            payload = read_checksummed_blob(entry_path, CACHE_MAGIC)
-            entry = pickle.loads(payload)
-            if (not isinstance(entry, dict) or "columns" not in entry
-                    or "health" not in entry or "malformed" not in entry):
-                raise BlobIntegrityError(
-                    f"cache entry {entry_path} has an alien payload shape")
-        except (BlobIntegrityError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError) as exc:
+        entry = _read_entry(entry_path)
+        if entry is None:
             # self-heal: a rotted entry is "no entry", never a crash --
             # evict it so the re-parse below rewrites a healthy one
             self.invalidated += 1
@@ -291,7 +257,6 @@ class ParseCache:
                 entry_path.unlink()
             except OSError:
                 pass
-            del exc
             return None
         self.hits += 1
         if OBS.enabled:
@@ -372,12 +337,11 @@ class ParseCache:
             stats.entries += 1
             stats.total_bytes += size
             if count_records:
-                try:
-                    payload = read_checksummed_blob(entry_path, CACHE_MAGIC)
-                    stats.records += len(pickle.loads(payload)["columns"][0])
-                except (BlobIntegrityError, pickle.UnpicklingError,
-                        EOFError, KeyError, IndexError, TypeError):
+                entry = _read_entry(entry_path)
+                if entry is None:
                     stats.invalid += 1
+                else:
+                    stats.records += len(entry["columns"][0])
         return stats
 
     def clear(self) -> int:
@@ -401,22 +365,15 @@ class ParseCache:
         valid = 0
         invalid: list[Path] = []
         for entry_path in self.entry_files():
-            try:
-                payload = read_checksummed_blob(entry_path, CACHE_MAGIC)
-                entry = pickle.loads(payload)
-                if (not isinstance(entry, dict) or "columns" not in entry
-                        or "health" not in entry
-                        or "malformed" not in entry):
-                    raise BlobIntegrityError("alien payload shape")
+            if _read_entry(entry_path) is not None:
                 valid += 1
-            except (BlobIntegrityError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError):
-                invalid.append(entry_path)
-                if heal:
-                    try:
-                        entry_path.unlink()
-                    except OSError:
-                        pass
+                continue
+            invalid.append(entry_path)
+            if heal:
+                try:
+                    entry_path.unlink()
+                except OSError:
+                    pass
         return valid, invalid
 
 
@@ -432,15 +389,61 @@ def _canonical_health_dict(health: SourceHealth) -> dict[str, int]:
     return counts
 
 
-def _pack(records: list[ParsedRecord]):
-    """The columnar pool wire format (shared with the process pool)."""
-    from repro.logs.parallel import _pack_records
-
-    return _pack_records(records)
+#: eight flat columns, one per :class:`ParsedRecord` field
+_RecordColumns = tuple[list, list, list, list, list, list, list, list]
+_FIELD_COUNT = len(ParsedRecord.__dataclass_fields__)
 
 
-def _unpack(columns) -> list[ParsedRecord]:
-    """Rebuild records from stored columns (single C-level ``map``)."""
-    from repro.logs.parallel import _unpack_records
+def _read_entry(entry_path: Path) -> Optional[dict]:
+    """One entry's decoded payload, or ``None`` when it is invalid.
 
-    return _unpack_records(columns)
+    The single validity rule every reader shares -- the lazy load, the
+    ``stats`` census and ``verify``: the checksum must hold, the payload
+    must unpickle, and it must be a dict carrying ``columns`` (one flat
+    list per record field), ``health`` and ``malformed``.  Anything
+    else -- truncation, bit flips, foreign bytes, a pickle naming a
+    missing module -- is invalid, never a crash.
+    """
+    try:
+        entry = pickle.loads(read_checksummed_blob(entry_path, CACHE_MAGIC))
+    except (BlobIntegrityError, pickle.UnpicklingError, EOFError,
+            AttributeError, ImportError, IndexError, KeyError, TypeError,
+            ValueError):
+        # unpickling a checksum-valid foreign payload can raise any of
+        # these (a pickle naming a missing module: ImportError)
+        return None
+    if (not isinstance(entry, dict) or "health" not in entry
+            or "malformed" not in entry):
+        return None
+    columns = entry.get("columns")
+    if (not isinstance(columns, tuple) or len(columns) != _FIELD_COUNT
+            or not all(isinstance(column, list) for column in columns)):
+        return None
+    return entry
+
+
+def _pack(records: list[ParsedRecord]) -> _RecordColumns:
+    """The columnar entry layout: one flat list per record field.
+
+    Pickling eight flat lists costs far less than one reduce call per
+    record (the pickler memoises the shared enum singletons and the
+    empty-attrs sentinel once per column instead of once per record),
+    and the rebuild in :func:`_unpack` is a single C-level ``map``.
+    """
+    return (
+        [r.time for r in records],
+        [r.source for r in records],
+        [r.component for r in records],
+        [r.daemon for r in records],
+        [r.event for r in records],
+        [r.attrs for r in records],
+        [r.severity for r in records],
+        [r.body for r in records],
+    )
+
+
+def _unpack(columns: _RecordColumns) -> list[ParsedRecord]:
+    """Rebuild records from stored columns (inverse of :func:`_pack`)."""
+    if not columns[0]:
+        return []
+    return list(map(ParsedRecord, *columns))

@@ -35,11 +35,7 @@ __all__ = [
     "EventSpec",
     "EVENTS",
     "event_spec",
-    "events_for_daemon",
     "DaemonDispatcher",
-    "DISPATCHERS",
-    "compile_dispatchers",
-    "dispatcher_for_daemon",
 ]
 
 
@@ -110,11 +106,6 @@ def event_spec(key: str) -> EventSpec:
     except KeyError:
         close = ", ".join(sorted(k for k in EVENTS if key.split("_")[0] in k)[:5])
         raise KeyError(f"unknown event {key!r}; similar: {close or '<none>'}") from None
-
-
-def events_for_daemon(daemon: str) -> list[EventSpec]:
-    """All specs reported by a daemon tag (parser dispatch table)."""
-    return [spec for spec in EVENTS.values() if spec.daemon == daemon]
 
 
 # ---------------------------------------------------------------------------
@@ -1065,30 +1056,6 @@ class DaemonDispatcher:
         return self.specs[i], attrs
 
 
-#: daemon tag -> compiled dispatcher, built once at import so every
-#: LineParser (and every pool worker importing this module) shares them
-DISPATCHERS: dict[str, DaemonDispatcher] = {}
-
-
-def compile_dispatchers() -> dict[str, DaemonDispatcher]:
-    """(Re)build :data:`DISPATCHERS` from the current :data:`EVENTS`."""
-    by_daemon: dict[str, list[EventSpec]] = {}
-    for spec in EVENTS.values():
-        by_daemon.setdefault(spec.daemon, []).append(spec)
-    DISPATCHERS.clear()
-    for daemon, specs in by_daemon.items():
-        DISPATCHERS[daemon] = DaemonDispatcher(daemon, specs)
-    return DISPATCHERS
-
-
-def dispatcher_for_daemon(daemon: str) -> DaemonDispatcher | None:
-    """Compiled dispatcher for a daemon tag (None for unknown daemons)."""
-    return DISPATCHERS.get(daemon)
-
-
-compile_dispatchers()
-
-
 # ---------------------------------------------------------------------------
 # Registration as the default platform catalog
 # ---------------------------------------------------------------------------
@@ -1104,12 +1071,14 @@ DAEMON_SOURCES: dict[str, LogSource] = {
     "erd": LogSource.ERD,
 }
 
-from repro.logs.catalogs import PlatformCatalog, register_catalog  # noqa: E402
+from repro.logs.catalogs import (  # noqa: E402
+    PlatformCatalog,
+    compile_dispatchers,
+    register_catalog,
+)
 
-#: the Cray XC vocabulary as a first-class catalog.  It wraps the very
-#: same EVENTS/DISPATCHERS objects as the module globals above, so code
-#: going through the catalog dispatches identically to code that still
-#: imports the singletons.
+#: the Cray XC vocabulary as a first-class catalog; its dispatchers are
+#: compiled once here, at import, and shared by every LineParser
 CRAY_XC = register_catalog(
     PlatformCatalog(
         name="cray-xc",
@@ -1118,7 +1087,7 @@ CRAY_XC = register_catalog(
             "vocabulary (the paper's Tables II-IV); the default dialect"
         ),
         events=EVENTS,
-        dispatchers=DISPATCHERS,
+        dispatchers=compile_dispatchers(EVENTS),
         daemon_sources=DAEMON_SOURCES,
         default_source=LogSource.SCHEDULER,
     )

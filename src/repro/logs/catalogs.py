@@ -102,8 +102,7 @@ class PlatformCatalog:
         """Every daemon tag this dialect claims (dispatch + chatter)."""
         return frozenset(self.dispatchers) | frozenset(self.daemon_sources)
 
-    # -- vocabulary access (mirrors the module-level helpers of the
-    #    original singleton so call sites translate one-for-one) -------
+    # -- vocabulary access ---------------------------------------------
     def event_spec(self, key: str) -> "EventSpec":
         """Look up an event spec; raises KeyError with suggestions."""
         try:
@@ -120,10 +119,6 @@ class PlatformCatalog:
     def events_for_daemon(self, daemon: str) -> list["EventSpec"]:
         """All specs reported by a daemon tag."""
         return [s for s in self.events.values() if s.daemon == daemon]
-
-    def dispatcher_for_daemon(self, daemon: str) -> "DaemonDispatcher | None":
-        """Compiled dispatcher for a daemon tag (None for unknown)."""
-        return self.dispatchers.get(daemon)
 
     def source_for_daemon(self, daemon: str) -> LogSource:
         """Log source a daemon's chatter lines belong to."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.logs.record import LogSource
 
@@ -82,7 +82,7 @@ class SourceHealth:
     recovered: int = 0
     #: physical files seen for this source (0 == source missing)
     files: int = 0
-    #: worker/file level failures that were retried serially
+    #: files whose read needed an I/O retry (or stayed unreadable)
     retried_files: int = 0
     #: files whose final line had no newline at read time (a mid-write
     #: snapshot); the torn line is *held back*, never parsed or
@@ -96,7 +96,7 @@ class SourceHealth:
         return self.read == self.parsed + self.quarantined + self.ignored
 
     def merge(self, other: "SourceHealth") -> None:
-        """Fold another accounting (e.g. a worker's) into this one."""
+        """Fold another accounting (e.g. one file's) into this one."""
         self.read += other.read
         self.parsed += other.parsed
         self.quarantined += other.quarantined
@@ -107,7 +107,7 @@ class SourceHealth:
         self.partial_tail += other.partial_tail
 
     def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (pickles cheaply across process boundaries)."""
+        """Plain-dict view (what cache entries and reports store)."""
         return {
             "read": self.read,
             "parsed": self.parsed,
@@ -129,8 +129,8 @@ class IngestionHealth:
     """Whole-store ingestion accounting, one :class:`SourceHealth` each."""
 
     sources: dict[LogSource, SourceHealth] = field(default_factory=dict)
-    #: human-readable notes on anything abnormal (missing files, retried
-    #: workers, decode repairs) -- surfaced on the diagnosis report
+    #: human-readable notes on anything abnormal (missing files,
+    #: unreadable files, decode repairs) -- surfaced on the diagnosis report
     notes: list[str] = field(default_factory=list)
 
     def source(self, source: LogSource) -> SourceHealth:
@@ -238,15 +238,6 @@ class IngestionHealth:
         return "\n".join(lines)
 
 
-def merge_worker_counts(
-    health: IngestionHealth,
-    source: LogSource,
-    counts: dict[str, int],
-) -> None:
-    """Merge a worker's plain-dict accounting into ``health``."""
-    health.source(source).merge(SourceHealth.from_dict(counts))
-
-
 def conservation_violations(health: IngestionHealth) -> list[str]:
     """Human-readable description of every broken conservation law."""
     problems = []
@@ -257,11 +248,3 @@ def conservation_violations(health: IngestionHealth) -> list[str]:
                 f" + quarantined={bucket.quarantined} + ignored={bucket.ignored}"
             )
     return problems
-
-
-def health_for(sources: Iterable[LogSource]) -> IngestionHealth:
-    """A health object pre-seeded with empty buckets for ``sources``."""
-    health = IngestionHealth()
-    for source in sources:
-        health.source(source)
-    return health

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from repro.logs.catalog import CRAY_XC, DAEMON_SOURCES
+from repro.logs.catalog import CRAY_XC
 from repro.logs.catalogs import PlatformCatalog, resolve_catalog
 from repro.logs.record import LogSource, Severity
 from repro.simul.clock import SimClock, parse_syslog
@@ -71,9 +71,8 @@ class ParsedRecord:
         """Compact pickling: rebuild through ``__init__`` positionally.
 
         The default slots-dataclass reduction (class + state dict) costs
-        several microseconds per record, which dominates the parallel
-        ingestion path where every worker ships its records back through
-        a pipe.
+        several microseconds per record; the positional rebuild is what
+        keeps pickling a large record list cheap.
         """
         return (ParsedRecord, (self.time, self.source, self.component,
                                self.daemon, self.event, self.attrs,
@@ -321,15 +320,6 @@ class LineParser:
             rec = self.parse(line)
             if rec is not None:
                 yield rec
-
-
-#: legacy alias; the mapping is owned by the default catalog now
-_DAEMON_SOURCE = DAEMON_SOURCES
-
-
-def _source_for_daemon(daemon: str) -> LogSource:
-    """Best-effort source classification for unrecognised chatter."""
-    return _DAEMON_SOURCE.get(daemon, LogSource.SCHEDULER)
 
 
 def parse_line(

@@ -132,8 +132,7 @@ def parse_log_file(
 
     When observability is enabled (:mod:`repro.obs`) every call records
     one ``logs.parse_file`` span carrying the file name plus line/byte
-    accounting, and the ``ingest.*`` counters advance -- in the pool
-    workers just as in-process, buffered and merged at drain.
+    accounting, and the ``ingest.*`` counters advance.
 
     ``cache`` is an optional :class:`repro.logs.cache.ParseCache`: a
     content-hash hit skips the parse entirely (only ``cache.*`` metrics
@@ -277,12 +276,12 @@ def _parse_log_file(
 ) -> tuple[list[ParsedRecord], SourceHealth, list[str]]:
     """The untraced parse (see :func:`parse_log_file` for the contract).
 
-    Returns ``(records, health, quarantined_lines)``.  The function is
-    process-safe (no writes); quarantine persistence is the caller's job
-    so parallel workers stay pure.  Transient ``OSError`` during the
-    read is retried up to :data:`_IO_RETRIES` times (see
-    :func:`_load_log_text`), so the conservation law holds even across
-    retries -- accounting starts only once the text is in memory.
+    Returns ``(records, health, quarantined_lines)``.  The function
+    performs no writes; quarantine persistence is the caller's job.
+    Transient ``OSError`` during the read is retried up to
+    :data:`_IO_RETRIES` times (see :func:`_load_log_text`), so the
+    conservation law holds even across retries -- accounting starts
+    only once the text is in memory.
     """
     text, retried = _load_log_text(path)
     return _parse_log_text(text, parser, policy, path, retried)
@@ -472,8 +471,8 @@ class LogStore:
     def source_files(self, source: LogSource) -> list[Path]:
         """All files (plain, rotated, or gzipped) holding one source.
 
-        Public API: the parallel reader and the corruption injector use
-        it to enumerate the physical files of a source family.  Rotated
+        Public API: the readers and the corruption injector use it to
+        enumerate the physical files of a source family.  Rotated
         names sort chronologically (``console-20150105.log`` ...), and a
         gzipped segment sorts exactly where its plain twin would, so
         file order is time order within a source.
@@ -487,14 +486,6 @@ class LogStore:
         rotated.extend(base.parent.glob(f"{base.stem}-*.log.gz"))
         files.extend(sorted(rotated, key=lambda p: p.name.removesuffix(".gz")))
         return files
-
-    def _source_files(self, source: LogSource) -> list[Path]:
-        """Deprecated pre-hardening spelling of :meth:`source_files`."""
-        warnings.warn(
-            "LogStore._source_files is deprecated; use "
-            "LogStore.source_files",
-            DeprecationWarning, stacklevel=2)
-        return self.source_files(source)
 
     def quarantine_path(self, source: LogSource) -> Path:
         """Where quarantined raw lines of one source are collected."""

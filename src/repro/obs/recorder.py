@@ -18,13 +18,12 @@ Design constraints, in order:
 2. **Thread-safe.**  Finished spans append under a lock; the open-span
    stack is thread-local, so concurrent threads nest independently.
 3. **Process-safe across fork.**  Span ids embed the recording pid, and
-   a forked child (pool worker, supervised campaign worker) inherits
+   a forked child (a supervised campaign or fleet worker) inherits
    the parent's open-span stack -- so the first span a worker opens
    records the supervisor-side span it forked under as its parent.
    Workers :meth:`drain_payload` their buffered spans and metrics and
    ship them home over their result channel; the parent
-   :meth:`absorb`\\ s them, exactly like the ingestion health
-   accounting merges worker counters.
+   :meth:`absorb`\\ s them.
 
 The module-level :data:`OBS` singleton is the recorder every layer of
 the codebase instruments against.  It is *mutated* by

@@ -64,13 +64,6 @@ class TestRegistryContents:
     def test_source_dependents_match_legacy_table(self):
         assert REGISTRY.source_dependents() == LEGACY_TABLE
 
-    def test_module_alias_is_derived_from_registry(self):
-        from repro.core import pipeline
-
-        with pytest.warns(DeprecationWarning, match="SOURCE_DEPENDENT"):
-            table = pipeline.SOURCE_DEPENDENT_ANALYSES
-        assert table == REGISTRY.source_dependents()
-
     def test_registration_order_is_execution_order(self):
         seen: set[str] = set()
         for spec in REGISTRY:

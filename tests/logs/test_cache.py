@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import gzip
 import multiprocessing
+import pickle
 import shutil
 
 import pytest
 
 import repro.logs.cache as cache_mod
+import repro.logs.store as store_mod
+from repro.core.artifacts import write_checksummed_blob
+from repro.core.pipeline import HolisticDiagnosis
 from repro.logs.cache import CACHE_MAGIC, ParseCache, catalog_fingerprint
 from repro.logs.health import ErrorPolicy, IngestionError, IngestionHealth
 from repro.logs.parsing import LineParser
@@ -55,6 +59,14 @@ def snapshot(store, policy=ErrorPolicy.SKIP):
     ]
     counts = {s.value: b.as_dict() for s, b in health.sources.items()}
     return records, counts
+
+
+#: checksum-valid payloads that are not cache entries: the wrong shape,
+#: and a pickle naming a module that does not exist
+ALIEN_PAYLOADS = [
+    pickle.dumps({"not": "an entry"}),
+    b"cnonexistent_mod\nthing\n.",
+]
 
 
 class TestParity:
@@ -161,21 +173,21 @@ class TestInvalidation:
         assert cache.invalidated == 1
 
     def test_alien_payload_self_heals(self, tmp_path):
-        """A checksum-valid blob with the wrong payload shape is evicted."""
-        import pickle
-
-        from repro.core.artifacts import write_checksummed_blob
-
+        """A checksum-valid blob that is not an entry is invalid to
+        ``stats`` and ``verify`` alike, and a read evicts it."""
         store = small_store(tmp_path / "logs")
-        cache = ParseCache(tmp_path / "pc")
-        cached = store.with_cache(cache)
         want = snapshot(store)
-        snapshot(cached)
-        victim = cache.entry_files()[0]
-        write_checksummed_blob(
-            victim, pickle.dumps({"not": "an entry"}), CACHE_MAGIC)
-        assert snapshot(cached) == want
-        assert cache.invalidated == 1
+        for i, payload in enumerate(ALIEN_PAYLOADS):
+            cache = ParseCache(tmp_path / f"pc{i}")
+            cached = store.with_cache(cache)
+            snapshot(cached)
+            victim = cache.entry_files()[0]
+            write_checksummed_blob(victim, payload, CACHE_MAGIC)
+            assert cache.stats(count_records=True).invalid == 1
+            assert cache.verify(heal=False) == (5, [victim])
+            assert snapshot(cached) == want
+            assert cache.invalidated == 1
+            assert cache.verify() == (6, [])
 
 
 class TestContentIdentity:
@@ -188,8 +200,8 @@ class TestContentIdentity:
         # a rotated twin with identical content: content hash hits
         twin = base.with_name("console-20150101.log")
         shutil.copyfile(base, twin)
-        assert cache.lookup(twin, parser) is not None
-        assert cache.hits == 1
+        cache.parse(twin, parser)
+        assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache.entry_files()) == 1
 
     def test_gzip_and_plain_share_one_entry(self, tmp_path):
@@ -201,10 +213,9 @@ class TestContentIdentity:
         with gzip.open(gz, "wt", encoding="utf-8") as handle:
             handle.write(base.read_text())
         records, health, _ = cache.parse(base, parser)
-        hit = cache.lookup(gz, parser)
-        assert hit is not None
+        hit_records, hit_health, _ = cache.parse(gz, parser)
+        assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache.entry_files()) == 1
-        hit_records, hit_health, _ = hit
         assert [r.event for r in hit_records] == [r.event for r in records]
         assert hit_health.as_dict() == health.as_dict()
 
@@ -305,6 +316,47 @@ class TestStoreIntegration:
         via_cache = parse_log_file(path, parser, cache=cache)
         assert [r.body for r in via_cache[0]] == [r.body for r in direct[0]]
         assert via_cache[1].as_dict() == direct[1].as_dict()
+
+    def test_warm_cache_parses_zero_files(self, diagnosed_scenario,
+                                          tmp_path, monkeypatch):
+        _, _, store = diagnosed_scenario
+        cache = ParseCache(tmp_path / "pc")
+        HolisticDiagnosis.from_store(store, cache=cache)    # populate
+
+        def boom(text, parser, policy, path, retried=0):
+            raise AssertionError(f"warm run parsed {path}")
+
+        monkeypatch.setattr(store_mod, "_parse_log_text", boom)
+        warm = ParseCache(cache.root)
+        HolisticDiagnosis.from_store(store, cache=warm)     # all hits
+        assert warm.misses == 0 and warm.hits > 0
+
+    def test_delta_file_is_the_only_parse(self, diagnosed_scenario,
+                                          tmp_path, monkeypatch):
+        _, _, base = diagnosed_scenario
+        root = tmp_path / "copy"
+        shutil.copytree(base.root, root)
+        store = LogStore(root, cache=tmp_path / "pc")
+        store.read_all()                                    # populate
+        # a new daily segment appears: only it should be parsed
+        fresh = root / "p0" / "console-29990101.log"
+        src = root / "p0" / "console.log"
+        fresh.write_text("".join(src.read_text().splitlines(True)[:3]))
+        parsed = []
+        real_parse = store_mod._parse_log_text
+
+        def spy(text, parser, policy, path, retried=0):
+            parsed.append(path)
+            return real_parse(text, parser, policy, path, retried)
+
+        monkeypatch.setattr(store_mod, "_parse_log_text", spy)
+        records = store.read_all()
+        assert parsed == [fresh]
+        assert any(r.source is LogSource.CONSOLE for r in records)
+        # and the next read parses nothing at all
+        parsed.clear()
+        assert store.read_all() == records
+        assert parsed == []
 
     def test_catalog_fingerprint_is_stable(self):
         assert catalog_fingerprint() == catalog_fingerprint()

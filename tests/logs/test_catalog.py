@@ -7,7 +7,7 @@ same render->parse round-trip contract the Cray vocabulary always had.
 
 import pytest
 
-from repro.logs.catalog import EVENTS, event_spec, events_for_daemon
+from repro.logs.catalog import EVENTS, event_spec
 from repro.logs.catalogs import catalog_names, get_catalog
 from repro.logs.record import LogSource
 
@@ -68,10 +68,11 @@ class TestRegistry:
             event_spec("mce_bogus")
 
     def test_events_for_daemon(self):
-        kernel = events_for_daemon("kernel")
+        cray = get_catalog("cray-xc")
+        kernel = cray.events_for_daemon("kernel")
         assert len(kernel) >= 20
         assert all(e.daemon == "kernel" for e in kernel)
-        assert events_for_daemon("no_such_daemon") == []
+        assert cray.events_for_daemon("no_such_daemon") == []
 
     def test_sources_consistent_with_daemon(self):
         for spec in EVENTS.values():

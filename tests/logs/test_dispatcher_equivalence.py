@@ -16,16 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logs.catalog import DISPATCHERS, EVENTS, events_for_daemon
+from repro.logs.catalogs import get_catalog
 
 from tests.logs.test_catalog import sample_attrs_for
 
-DAEMONS = sorted(DISPATCHERS)
+CRAY = get_catalog("cray-xc")
+EVENTS = CRAY.events
+DAEMONS = sorted(CRAY.dispatchers)
 
 
 def linear_scan(daemon, body):
     """The old matcher: longest-template-first probe, first hit wins."""
-    specs = sorted(events_for_daemon(daemon), key=lambda s: -len(s.template))
+    specs = sorted(CRAY.events_for_daemon(daemon),
+                   key=lambda s: -len(s.template))
     for spec in specs:
         attrs = spec.parse(body)
         if attrs is not None:
@@ -34,7 +37,7 @@ def linear_scan(daemon, body):
 
 
 def dispatch(daemon, body):
-    hit = DISPATCHERS[daemon].match(body)
+    hit = CRAY.dispatchers[daemon].match(body)
     if hit is None:
         return None
     spec, attrs = hit
@@ -61,7 +64,7 @@ def test_every_template_round_trips_identically(key):
 def test_tie_break_matches_linear_scan_order(daemon):
     """When a body matches several specs, both pick the same winner --
     the longest-template one, registration order among equals."""
-    for spec in events_for_daemon(daemon):
+    for spec in CRAY.events_for_daemon(daemon):
         body = spec.format(sample_attrs_for(spec.key))
         reference = linear_scan(daemon, body)
         assert reference is not None

@@ -11,10 +11,10 @@ from repro.logs.health import (
     SourceHealth,
     conservation_violations,
 )
-from repro.logs.parallel import parallel_read
 from repro.logs.parsing import LineParser
 from repro.logs.record import LogBus, LogRecord, LogSource
 from repro.logs.store import LogStore
+from repro.obs import session
 from repro.simul.clock import SimClock
 
 
@@ -143,62 +143,22 @@ class TestRecovery:
         assert torn.status == "malformed"
 
 
-class TestParallelFallback:
-    def test_worker_failure_falls_back_not_dies(self, tmp_path):
+class TestLostFile:
+    def test_unreadable_file_is_skipped_and_accounted(self, tmp_path):
         store = small_store(tmp_path)
-        # a .gz that is not gzip: the worker's read explodes, the parent
-        # retries serially, fails again, and records the loss
+        # a .gz that is not gzip: the serial reader retries its bounded
+        # I/O budget, then skips the file and records the loss
         bad = store.path_for(LogSource.ERD).with_name("event.log.gz")
         bad.write_bytes(b"this is not gzip data")
         health = IngestionHealth()
-        by_source = parallel_read(store, workers=2, force_parallel=True,
-                                  health=health)
-        assert len(by_source[LogSource.CONSOLE]) == 3
-        assert any("file lost" in note for note in health.notes)
+        with session() as recorder:
+            internal = store.read_internal(health=health)
+            store.read_external(health=health)
+            lost = recorder.metrics.counter("ingest.files_lost").value
+        assert [r.source for r in internal] == [LogSource.CONSOLE] * 3
+        assert "unreadable file skipped: event.log.gz" in health.notes
         assert health.conserved, conservation_violations(health)
-
-    def test_strict_propagates_through_pool(self, tmp_path):
-        store = small_store(tmp_path, ["complete garbage"])
-        with pytest.raises(IngestionError):
-            parallel_read(store, workers=2, force_parallel=True,
-                          error_policy="strict")
-
-    def test_strict_raises_only_after_draining_siblings(self, tmp_path):
-        """A strict violation in one file must not orphan the others:
-        every healthy file's accounting lands in ``health`` before the
-        parent re-raises the (typed, not retried) violation."""
-        bus = LogBus()
-        for t in (10.0, 20.0):
-            bus.emit(LogRecord(t, LogSource.CONSOLE, "c0-0c0s0n0", "mce",
-                               {"bank": 1, "status": "ff"}))
-        bus.emit(LogRecord(15.0, LogSource.ERD, "erd", "ec_heartbeat_stop",
-                           {"src": "c0-0c0s0n1"}))
-        bus.emit(LogRecord(25.0, LogSource.SCHEDULER, "sdb", "slurm_submit",
-                           {"job": 7}))
-        store = LogStore(tmp_path / "logs")
-        store.write(bus, SimClock(), "TT", 1, 60.0)
-        with store.path_for(LogSource.CONSOLE).open("a") as handle:
-            handle.write("complete garbage\n")
-        health = IngestionHealth()
-        with pytest.raises(IngestionError):
-            parallel_read(store, workers=2, force_parallel=True,
-                          error_policy="strict", health=health)
-        for source, expected in ((LogSource.ERD, 1),
-                                 (LogSource.SCHEDULER, 1)):
-            bucket = health.source(source)
-            assert bucket.read == expected
-            assert bucket.parsed == expected
-
-    def test_health_matches_serial_accounting(self, tmp_path):
-        store = small_store(tmp_path, ["complete garbage"])
-        serial = IngestionHealth()
-        list(store.read_source(LogSource.CONSOLE, policy="skip",
-                               health=serial))
-        # fresh quarantine-free copy of the accounting via parallel_read
-        pooled = IngestionHealth()
-        parallel_read(store, error_policy="skip", health=pooled)
-        assert (serial.source(LogSource.CONSOLE).as_dict()
-                == pooled.source(LogSource.CONSOLE).as_dict())
+        assert lost == 1
 
 
 class TestHealthModel:

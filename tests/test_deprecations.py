@@ -1,95 +1,27 @@
-"""Deprecation shims: every legacy spelling warns *and* forwards.
+"""Removed spellings stay removed; refusals name the unified knobs.
 
-API redesign contract (ISSUE 5): renamed or moved entry points keep
-working for one release behind :class:`DeprecationWarning` shims --
-``policy=`` kwargs (now ``error_policy=`` everywhere), the
-``SOURCE_DEPENDENT_ANALYSES`` module constant (now derived from the
-registry) and the pre-hardening ``LogStore._source_files`` spelling.
-Each test asserts both halves: the warning fires, and the result is
-identical to the modern spelling's.
+API redesign contract (docs/API.md): renamed entry points kept working
+for one release behind :class:`DeprecationWarning` shims, then the
+shims went.  ``from_store``'s legacy ``policy=`` kwarg and positional
+options now raise :class:`TypeError` instead of forwarding.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro.core.pipeline import HolisticDiagnosis
 from repro.logs.health import ErrorPolicy
-from repro.logs.parallel import diagnosis_inputs, parallel_read
-from repro.logs.record import LogSource
 
 
-class TestLegacyPolicyKwarg:
-    def test_parallel_read_policy_warns_and_forwards(self, diagnosed_scenario):
-        _, _, store = diagnosed_scenario
-        with pytest.warns(DeprecationWarning, match="parallel_read"):
-            legacy = parallel_read(store, policy="skip")
-        modern = parallel_read(store, error_policy=ErrorPolicy.SKIP)
-        assert {s: len(records) for s, records in legacy.items()} \
-            == {s: len(records) for s, records in modern.items()}
-
-    def test_diagnosis_inputs_policy_warns_and_forwards(
+class TestRemovedSpellings:
+    def test_from_store_legacy_options_are_type_errors(
             self, diagnosed_scenario):
         _, _, store = diagnosed_scenario
-        with pytest.warns(DeprecationWarning, match="diagnosis_inputs"):
-            internal, external, sched = diagnosis_inputs(store, policy="skip")
-        modern = diagnosis_inputs(store, error_policy="skip")
-        assert (len(internal), len(external), len(sched)) \
-            == tuple(len(stream) for stream in modern)
-        assert internal and external
-
-    def test_from_store_policy_warns_and_forwards(self, diagnosed_scenario):
-        _, _, store = diagnosed_scenario
-        with pytest.warns(DeprecationWarning, match="from_store"):
-            legacy = HolisticDiagnosis.from_store(store, policy="skip")
-        modern = HolisticDiagnosis.from_store(store, error_policy="skip")
-        assert len(legacy.failures) == len(modern.failures)
-
-    def test_modern_spellings_never_warn(self, diagnosed_scenario):
-        _, _, store = diagnosed_scenario
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            parallel_read(store, error_policy="skip")
-            HolisticDiagnosis.from_store(store, error_policy="skip")
-
-
-class TestLegacyPositionalOptions:
-    """ISSUE 10: options are keyword-only; positionals warn and forward."""
-
-    def test_parallel_read_positional_warns_and_forwards(
-            self, diagnosed_scenario):
-        _, _, store = diagnosed_scenario
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = parallel_read(store, 2, True, "skip")
-        modern = parallel_read(store, workers=2, force_parallel=True,
-                               error_policy="skip")
-        assert {s: len(records) for s, records in legacy.items()} \
-            == {s: len(records) for s, records in modern.items()}
-
-    def test_diagnosis_inputs_positional_warns_and_forwards(
-            self, diagnosed_scenario):
-        _, _, store = diagnosed_scenario
-        with pytest.warns(DeprecationWarning, match="positional"):
-            internal, external, sched = diagnosis_inputs(store, None, False,
-                                                         "skip")
-        modern = diagnosis_inputs(store, error_policy="skip")
-        assert (len(internal), len(external), len(sched)) \
-            == tuple(len(stream) for stream in modern)
-
-    def test_from_store_positional_warns_and_forwards(
-            self, diagnosed_scenario):
-        _, _, store = diagnosed_scenario
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = HolisticDiagnosis.from_store(store, "skip")
-        modern = HolisticDiagnosis.from_store(store, error_policy="skip")
-        assert len(legacy.failures) == len(modern.failures)
-
-    def test_too_many_positionals_is_a_type_error(self, diagnosed_scenario):
-        _, _, store = diagnosed_scenario
-        with pytest.raises(TypeError, match="positional argument"):
-            parallel_read(store, None, False, "skip", None, "extra")
+        with pytest.raises(TypeError, match="policy"):
+            HolisticDiagnosis.from_store(store, policy="skip")
+        with pytest.raises(TypeError, match="positional"):
+            HolisticDiagnosis.from_store(store, "skip")
 
 
 class TestUnifiedErrorPolicyMessages:
@@ -119,19 +51,3 @@ class TestUnifiedErrorPolicyMessages:
         with pytest.raises(CheckpointError, match="error_policy="):
             checkpoint.check_resumable(state, window_days=1,
                                        error_policy="strict")
-
-
-class TestModuleAliases:
-    def test_source_dependent_analyses_warns_and_forwards(self):
-        from repro.core import analysis, pipeline
-
-        with pytest.warns(DeprecationWarning,
-                          match="SOURCE_DEPENDENT_ANALYSES"):
-            table = pipeline.SOURCE_DEPENDENT_ANALYSES
-        assert table == analysis.REGISTRY.source_dependents()
-
-    def test_store_source_files_warns_and_forwards(self, diagnosed_scenario):
-        _, _, store = diagnosed_scenario
-        with pytest.warns(DeprecationWarning, match="_source_files"):
-            legacy = store._source_files(LogSource.CONSOLE)
-        assert legacy == store.source_files(LogSource.CONSOLE)
