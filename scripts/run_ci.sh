@@ -5,7 +5,9 @@
 #      chaos-marked tests excluded via pyproject addopts)
 #   2. supervision smoke: the process-level supervisor tests alone, as
 #      a focused re-run (they are part of tier-1 too; this isolates
-#      worker/fork behaviour when debugging an environment)
+#      worker/fork behaviour when debugging an environment), plus the
+#      event-journal contract (tests/runtime/test_journal.py) that the
+#      campaign, fleet and watch resumes all rely on
 #   3. streaming smoke: a real `repro watch` subprocess tails a live
 #      directory, alerts on a fed increment, and finalizes cleanly on
 #      SIGTERM (tests/stream/test_cli_smoke.py, -m streaming); the
@@ -51,8 +53,9 @@ python scripts/check_api.py
 echo "== tier-1 (default pytest run) =="
 python -m pytest -q
 
-echo "== supervision smoke (pytest -m supervision) =="
+echo "== supervision smoke + journal contract (pytest -m supervision) =="
 python -m pytest tests/runtime -m supervision -q
+python -m pytest tests/runtime/test_journal.py -q
 
 echo "== streaming smoke (pytest -m streaming) =="
 python -m pytest tests/stream -m streaming -q

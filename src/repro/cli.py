@@ -661,12 +661,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print(f"  {entry['status'].upper():<7} {entry['system']:<9} "
                   f"{entry['reason']}")
         print("re-run with --resume to retry degraded shards")
-    print(f"report written: {supervisor.journal.report_path}")
+    print(f"report written: {supervisor.report_path}")
     return report.exit_code()
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    from repro.stream import CheckpointError, WatchConfig, WatchDaemon
+    from repro.runtime import JournalError
+    from repro.stream import WatchConfig, WatchDaemon
 
     store = LogStore(args.logdir)
     if not store.exists():
@@ -685,9 +686,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                   f"poll every {args.poll_interval}s); alerts -> "
                   f"{args.out / 'alerts.jsonl'}", flush=True)
             report = daemon.run()
-    except CheckpointError as exc:
-        raise SystemExit(f"error: {exc}")
-    except ValueError as exc:
+    except (JournalError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
     stats = report.tail_stats
     print(f"{'resumed' if report.resumed else 'watched'}: "

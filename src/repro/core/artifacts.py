@@ -1,7 +1,7 @@
 """Atomic on-disk artifacts: one writer, one crash-safety contract.
 
-Three subsystems publish "all-or-nothing" files: the campaign journal's
-per-experiment results (:mod:`repro.runtime.journal`), the streaming
+Three subsystems publish "all-or-nothing" files: the campaign's
+per-experiment results (:mod:`repro.runtime.supervisor`), the streaming
 daemon's final report (:mod:`repro.stream.daemon`) and the fleet layer's
 shard artifacts and rollup (:mod:`repro.fleet`).  They used to carry
 near-identical temp-file-plus-rename implementations; this module is the
@@ -152,10 +152,10 @@ def read_checksummed_blob(path: Path | str, magic: bytes) -> bytes:
 def append_jsonl_line(path: Path, record: dict) -> None:
     """Append one JSON line to ``path``, flushed before returning.
 
-    The shared append discipline of the campaign journal and the watch
-    checkpoint: sorted keys, one line per event, flushed per call so a
-    process kill loses nothing already appended (only an OS crash can
-    tear the final line, which
+    The append discipline of :class:`repro.runtime.journal.EventJournal`
+    (the campaign, fleet and watch logs): sorted keys, one line per
+    event, flushed per call so a process kill loses nothing already
+    appended (only an OS crash can tear the final line, which
     :func:`repro.runtime.journal.read_jsonl_tolerant` forgives).
     """
     path.parent.mkdir(parents=True, exist_ok=True)

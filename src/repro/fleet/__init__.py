@@ -5,7 +5,9 @@ a *fleet* of systems the way the campaign runtime scales experiments:
 every fleet member is a shard diagnosed in its own supervised worker
 process (:mod:`repro.fleet.supervisor`, built on the generic engine in
 :mod:`repro.runtime.tasks`), persisted as a self-validating columnar
-artifact (:mod:`repro.fleet.artifact`), and merged into a fleet-wide
+artifact (:mod:`repro.fleet.artifact`), recorded in the shared
+crash-safe :class:`~repro.runtime.journal.EventJournal` so ``--resume``
+redoes only unproven shards, and merged into a fleet-wide
 :class:`~repro.fleet.rollup.FleetReport` with conserved accounting for
 every shard that could not be covered (:mod:`repro.fleet.rollup`).
 
@@ -22,7 +24,7 @@ from repro.fleet.artifact import (
 )
 from repro.fleet.rollup import FleetReport, merge_shards, shard_summary
 from repro.fleet.scenario import FLEET_SYSTEM, FleetSpec, materialize_member
-from repro.fleet.supervisor import FleetJournal, FleetSupervisor, fleet_config
+from repro.fleet.supervisor import FleetSupervisor, fleet_config
 
 __all__ = [
     "ShardArtifact",
@@ -35,7 +37,6 @@ __all__ = [
     "FLEET_SYSTEM",
     "FleetSpec",
     "materialize_member",
-    "FleetJournal",
     "FleetSupervisor",
     "fleet_config",
 ]

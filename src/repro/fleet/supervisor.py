@@ -23,7 +23,8 @@ What the fleet adds on top of the generic engine:
   their breaker become degraded entries in the
   :class:`~repro.fleet.rollup.FleetReport` with conserved accounting
   (``covered + degraded == fleet``), never a crashed run;
-* **resume** -- ``run(resume=True)`` replays the fleet journal,
+* **resume** -- ``run(resume=True)`` replays the fleet's
+  :class:`~repro.runtime.journal.EventJournal`,
   re-validates every completed shard's artifact (a corrupt one is
   demoted to pending and rebuilt), re-runs only what is not proven
   done, and writes a ``fleet_report.json`` byte-identical to an
@@ -35,18 +36,17 @@ from __future__ import annotations
 
 import contextlib
 import os
-import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from repro.core.artifacts import append_jsonl_line, write_canonical_artifact
+from repro.core.artifacts import write_canonical_artifact
 from repro.fleet.artifact import ShardArtifact, ShardArtifactError, read_shard_artifact
 from repro.fleet.rollup import FleetReport, merge_shards, shard_summary
 from repro.fleet.scenario import FLEET_SYSTEM, FleetSpec, materialize_member
 from repro.logs.store import LogStore
 from repro.obs import OBS
 from repro.runtime import faults
-from repro.runtime.journal import JournalError, read_jsonl_tolerant
+from repro.runtime.journal import EventJournal
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.tasks import (
     PublishError,
@@ -56,10 +56,8 @@ from repro.runtime.tasks import (
     TaskSupervisor,
 )
 
-__all__ = ["FleetJournal", "FleetSupervisor", "fleet_config"]
+__all__ = ["FleetSupervisor", "fleet_config"]
 
-#: journal file name under the fleet root
-JOURNAL_NAME = "journal.jsonl"
 #: shard artifact directory under the fleet root
 SHARDS_DIR = "shards"
 #: merged report name under the fleet root
@@ -85,73 +83,18 @@ def fleet_config(max_workers: Optional[int] = None) -> SupervisorConfig:
     )
 
 
-class FleetJournal:
-    """One fleet directory: event log, shard artifacts, merged report.
+class FleetSupervisor(TaskSupervisor):
+    """Diagnose every member of a fleet under supervision and roll up.
 
-    Same crash-safety contract as the campaign journal (append-then-
-    flush JSONL, tolerant tail replay, atomic artifacts) with the
-    shard vocabulary::
+    The fleet directory holds the event log, the shard artifacts and
+    the merged report; the log's vocabulary::
 
-        fleet-start / fleet-resume   systems, days, seed
+        fleet-start / fleet-resume   systems, days, seed[, platform]
         start / complete / attempt-failed / failed / skip   per shard
         artifact-corrupted / artifact-invalid               self-healing
         worker-lost / breaker-open                          casualties
         fleet-end                    covered, degraded
     """
-
-    def __init__(self, root: Path | str) -> None:
-        self.root = Path(root)
-        self.path = self.root / JOURNAL_NAME
-        self.shards = self.root / SHARDS_DIR
-        self.report_path = self.root / REPORT_NAME
-
-    # ------------------------------------------------------------------
-    def append(self, event: str, **fields: Any) -> dict:
-        """Append one event line (flushed before returning)."""
-        record = {"event": event, **fields, "wall": time.time()}
-        append_jsonl_line(self.path, record)
-        return record
-
-    def events(self) -> list[dict]:
-        """Replay the log, tolerating a crash-torn final line."""
-        parsed, _ = read_jsonl_tolerant(self.path)
-        return parsed
-
-    def reset(self) -> None:
-        """Fresh fleet run: drop the log, shard artifacts and report."""
-        if self.path.is_file():
-            self.path.unlink()
-        if self.report_path.is_file():
-            self.report_path.unlink()
-        if self.shards.is_dir():
-            for artifact in self.shards.glob("*.npz"):
-                artifact.unlink()
-
-    # ------------------------------------------------------------------
-    def start(self, config: dict, resumed: bool = False) -> None:
-        self.append("fleet-resume" if resumed else "fleet-start", **config)
-
-    def recorded_config(self) -> Optional[dict]:
-        """The (systems, days, seed) the fleet was started with."""
-        for record in self.events():
-            if record["event"] == "fleet-start":
-                return {key: record[key]
-                        for key in ("systems", "days", "seed")
-                        if key in record}
-        return None
-
-    def completed_shards(self) -> set[str]:
-        """Shards with a ``complete`` event (artifact still unverified --
-        the resume path re-validates through the checksum)."""
-        return {record["shard"] for record in self.events()
-                if record["event"] == "complete"}
-
-    def shard_path(self, member_id: str) -> Path:
-        return self.shards / f"{member_id}.npz"
-
-
-class FleetSupervisor(TaskSupervisor):
-    """Diagnose every member of a fleet under supervision and roll up."""
 
     id_field = "shard"
     task_span = "fleet.shard"
@@ -168,14 +111,15 @@ class FleetSupervisor(TaskSupervisor):
     ) -> None:
         self.spec = spec or FleetSpec()
         self.cache_root = cache_root
-        journal = FleetJournal(root)
+        journal = EventJournal(root, "journal.jsonl",
+                               owned=(f"{SHARDS_DIR}/*.npz", REPORT_NAME))
         tasks = [
             TaskSpec(
                 task_id=member_id,
                 # one group per shard: private worker, private deadline,
                 # private breaker -- shard failures never cross-infect
                 group=f"shard:{member_id}",
-                run=self._shard_runner(journal, member_id, index),
+                run=self._shard_runner(member_id, index),
             )
             for index, member_id in enumerate(self.spec.member_ids)
         ]
@@ -183,10 +127,26 @@ class FleetSupervisor(TaskSupervisor):
                          seed=self.spec.seed)
 
     # ------------------------------------------------------------------
+    # the fleet directory
+    # ------------------------------------------------------------------
+    @property
+    def report_path(self) -> Path:
+        return self.journal.root / REPORT_NAME
+
+    def shard_path(self, member_id: str) -> Path:
+        return self.journal.root / SHARDS_DIR / f"{member_id}.npz"
+
+    @staticmethod
+    def completed_shards(events: Sequence[dict]) -> set[str]:
+        """Shards with a ``complete`` event (artifact still unverified --
+        the resume path re-validates through the checksum)."""
+        return {record["shard"] for record in events
+                if record["event"] == "complete"}
+
+    # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
-    def _shard_runner(self, journal: FleetJournal, member_id: str,
-                      index: int):
+    def _shard_runner(self, member_id: str, index: int):
         """The shard task body (runs in the forked worker).
 
         Materialises the member's logs (cached, atomic), runs the full
@@ -225,7 +185,7 @@ class FleetSupervisor(TaskSupervisor):
                 "failure_times": np.sort(np.asarray(
                     [f.time for f in report.failures], dtype=float)),
             }
-            write_shard_artifact(journal.shard_path(member_id), arrays,
+            write_shard_artifact(self.shard_path(member_id), arrays,
                                  summary)
             return summary
 
@@ -244,7 +204,7 @@ class FleetSupervisor(TaskSupervisor):
         file and raises :class:`PublishError`, so the engine retries
         and the shard is rebuilt in place (self-healing, never fatal).
         """
-        path = self.journal.shard_path(task.task_id)
+        path = self.shard_path(task.task_id)
         if faults.corrupt_artifact(task.task_id, attempt, path):
             self.journal.append("artifact-corrupted", shard=task.task_id,
                                 attempt=attempt)
@@ -281,18 +241,9 @@ class FleetSupervisor(TaskSupervisor):
         return report
 
     def _run(self, resume: bool) -> FleetReport:
-        outcomes: dict[str, TaskOutcome] = {}
-        if resume:
-            recorded = self.journal.recorded_config()
-            if recorded is not None and recorded != self.spec.as_config():
-                raise JournalError(
-                    f"fleet journal at {self.journal.root} was started "
-                    f"with {recorded}; cannot resume with "
-                    f"{self.spec.as_config()}")
-            outcomes = self._replay()
-        else:
-            self.journal.reset()
-        self.journal.start(self.spec.as_config(), resumed=resume)
+        events = self.journal.begin("fleet", self.spec.as_config(),
+                                    resume=resume)
+        outcomes = self._replay(events)
         self.execute(outcomes)
         covered = {mid: outcome.value for mid, outcome in outcomes.items()
                    if outcome.completed}
@@ -303,7 +254,7 @@ class FleetSupervisor(TaskSupervisor):
         }
         report = merge_shards(self.spec.as_config(), self.spec.member_ids,
                               covered, degraded)
-        write_canonical_artifact(self.journal.report_path,
+        write_canonical_artifact(self.report_path,
                                  report.to_jsonable())
         self.journal.append("fleet-end",
                             covered=report.coverage["covered"],
@@ -320,7 +271,7 @@ class FleetSupervisor(TaskSupervisor):
                 report.coverage["degraded"])
         return report
 
-    def _replay(self) -> dict[str, TaskOutcome]:
+    def _replay(self, events: Sequence[dict]) -> dict[str, TaskOutcome]:
         """Resume seed: completed shards whose artifacts still validate.
 
         Every artifact is re-read *through its checksum* -- a shard
@@ -331,13 +282,12 @@ class FleetSupervisor(TaskSupervisor):
         makes an honest refailure reproduce the same degraded entry.
         """
         outcomes: dict[str, TaskOutcome] = {}
-        done = self.journal.completed_shards()
+        done = self.completed_shards(events)
         for member_id in self.spec.member_ids:
             if member_id not in done:
                 continue
             try:
-                artifact = read_shard_artifact(
-                    self.journal.shard_path(member_id))
+                artifact = read_shard_artifact(self.shard_path(member_id))
             except ShardArtifactError as exc:
                 self.journal.append("artifact-invalid", shard=member_id,
                                     reason=str(exc))

@@ -8,14 +8,17 @@ crashed or hung workers, SIGKILLed processes, interrupted runs.
 * :mod:`repro.runtime.supervisor` -- isolated worker processes with
   heartbeats, per-experiment deadlines, bounded retry and a
   per-scenario circuit breaker;
-* :mod:`repro.runtime.journal` -- append-only JSONL campaign journal
-  plus atomic, byte-deterministic artifacts enabling ``--resume``;
+* :mod:`repro.runtime.journal` -- the one crash-safe
+  :class:`~repro.runtime.journal.EventJournal` (append-only JSONL,
+  tolerant replay, fingerprint-checked start/resume, reset of owned
+  artifacts) behind ``--resume`` of the campaign, the fleet and the
+  watch daemon;
 * :mod:`repro.runtime.retry` -- backoff policy and circuit breaker;
 * :mod:`repro.runtime.faults` -- process-level fault injection
   (SIGKILL, hang, crash, slow) for the chaos harness.
 """
 
-from repro.runtime.journal import CampaignJournal, JournalError
+from repro.runtime.journal import EventJournal, JournalError
 from repro.runtime.retry import CircuitBreaker, RetryPolicy
 from repro.runtime.supervisor import (
     CampaignReport,
@@ -25,7 +28,7 @@ from repro.runtime.supervisor import (
 )
 
 __all__ = [
-    "CampaignJournal",
+    "EventJournal",
     "JournalError",
     "CircuitBreaker",
     "RetryPolicy",

@@ -1,59 +1,58 @@
-"""Crash-safe campaign journal: append-only JSONL + atomic artifacts.
+"""The one crash-safe event journal behind every long-running job.
 
-The journal is the supervisor's source of truth for what a campaign has
-done.  Two kinds of state live under one campaign directory::
+The campaign (``repro run-all``), the fleet (``repro fleet``) and the
+watch daemon (``repro watch``) each survive a kill by writing what they
+have done to an :class:`EventJournal` first.  Each keeps only its event
+vocabulary and the logic that replays it; the file discipline lives
+here, once::
 
     <root>/
-      journal.jsonl            # append-only event log (flushed per event)
-      artifacts/<exp_id>.json  # canonical per-experiment results
+      <name>.jsonl     # append-only event log (flushed per event)
+      <owned files>    # the job's artifacts, dropped on a fresh start
 
 Crash-safety contract:
 
-* events are appended and flushed one line at a time, so the journal
-  never contains a *reordered* history and a process kill (the threat
-  model: SIGKILL, crash, OOM) loses nothing already appended.  Only an
-  OS-level crash can drop a tail of events -- which merely re-runs
-  those experiments on resume -- or truncate the final line, and
-  :meth:`CampaignJournal.events` tolerates (and reports) exactly that:
-  a trailing partial line is dropped, never misparsed.  Events skip the
+* events are appended and flushed one line at a time, so the log never
+  contains a *reordered* history and a process kill (the threat model:
+  SIGKILL, crash, OOM) loses nothing already appended.  Only an
+  OS-level crash can drop a tail of events -- which merely redoes that
+  work on resume -- or truncate the final line, and :meth:`EventJournal
+  .events` tolerates (and reports) exactly that: a trailing partial line
+  is dropped, never misparsed, and a resume cuts it from the file before
+  appending, so no event is ever glued onto it.  Events skip the
   per-line ``fsync`` deliberately; it buys nothing against process
   death and costs milliseconds per event (see
   ``benchmarks/bench_supervisor.py``);
-* artifacts are written to a temp file and published with
-  ``os.replace``, so an artifact either exists completely or not at
-  all, and each artifact's bytes are canonical
-  (:meth:`~repro.experiments.result.ExperimentResult.to_json`) --
-  independent of attempt counts, wall clock, or which process produced
-  them.  That is what makes interrupted-then-resumed campaigns
-  byte-identical to uninterrupted ones;
-* an experiment counts as *completed* only when both its ``complete``
-  event and a parseable artifact exist (:meth:`completed_results`), so
-  a crash between the two is re-run, never silently trusted.
+* every event carries its ``wall`` clock stamp;
+* a start records the job's *fingerprint* -- the inputs that change
+  what its artifacts contain -- and :meth:`EventJournal.begin` refuses a
+  resume whose fingerprint differs, naming each differing key, so
+  artifacts of two configurations are never mixed;
+* a fresh start unlinks the log and every owned file pattern, so no
+  artifact of an earlier run survives beside a new log.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Sequence
 
-from repro.core.artifacts import append_jsonl_line, atomic_write_text
-from repro.experiments.result import ExperimentResult
+from repro.core.artifacts import append_jsonl_line
 from repro.obs import OBS
 
-__all__ = ["CampaignJournal", "JournalError", "atomic_write_text",
-           "read_jsonl_tolerant"]
+__all__ = ["EventJournal", "JournalError", "read_jsonl_tolerant"]
 
-#: journal file name under the campaign root
-JOURNAL_NAME = "journal.jsonl"
-#: artifact directory name under the campaign root
-ARTIFACTS_DIR = "artifacts"
+#: keys every event carries besides its fields
+_STAMPS = ("event", "wall")
 
 
 class JournalError(RuntimeError):
-    """A journal is unusable for the requested operation (e.g. resuming
-    with a different seed than the one the campaign started with)."""
+    """A journal is unusable for the requested operation: damaged before
+    its last line, or resumed with a fingerprint that differs from the
+    one it was started with."""
 
 
 def read_jsonl_tolerant(path: Path) -> tuple[list[dict], bool]:
@@ -66,9 +65,9 @@ def read_jsonl_tolerant(path: Path) -> tuple[list[dict], bool]:
     ``journal.truncated_tail`` observability counter so silent
     crash-recoveries become visible in ``repro obs summary``.
 
-    Shared by :class:`CampaignJournal` and the streaming watch
-    checkpoint (:mod:`repro.stream.checkpoint`), which make the same
-    append-then-flush crash-safety promise.
+    Shared by :class:`EventJournal` and the watch daemon's alert file
+    (:mod:`repro.stream.alerts`), which makes the same append-then-flush
+    crash-safety promise.
     """
     if not path.is_file():
         return [], False
@@ -92,18 +91,26 @@ def read_jsonl_tolerant(path: Path) -> tuple[list[dict], bool]:
     return parsed, truncated
 
 
-class CampaignJournal:
-    """One campaign directory: the event log plus its artifacts."""
+def _assignments(values: dict, keys: Sequence[str]) -> str:
+    return ", ".join(f"{key}={values.get(key)!r}" for key in keys)
 
-    def __init__(self, root: Path | str) -> None:
+
+class EventJournal:
+    """One job directory: an append-only event log plus the files it owns.
+
+    ``name`` is the log's file name under ``root``; ``owned`` are glob
+    patterns (relative to ``root``) of the artifacts :meth:`reset`
+    removes with the log.
+    """
+
+    def __init__(self, root: Path | str, name: str,
+                 owned: Sequence[str] = ()) -> None:
         self.root = Path(root)
-        self.path = self.root / JOURNAL_NAME
-        self.artifacts = self.root / ARTIFACTS_DIR
-        self._truncated_tail = False
+        self.path = self.root / name
+        self.owned = tuple(owned)
+        #: True when the last :meth:`events` call dropped a partial line
+        self.truncated_tail = False
 
-    # ------------------------------------------------------------------
-    # event log
-    # ------------------------------------------------------------------
     def append(self, event: str, **fields: Any) -> dict:
         """Append one event line (flushed before returning)."""
         record = {"event": event, **fields, "wall": time.time()}
@@ -111,76 +118,58 @@ class CampaignJournal:
         return record
 
     def events(self) -> list[dict]:
-        """Replay the event log, tolerating a crash-truncated tail.
-
-        Only a *final* damaged line is forgiven (that is the one a
-        SIGKILL can produce); damage earlier in the file means the
-        journal was edited or corrupted and raises :class:`JournalError`.
-        A forgiven tail is also counted on the ``journal.truncated_tail``
-        observability counter (see :func:`read_jsonl_tolerant`).
-        """
-        parsed, self._truncated_tail = read_jsonl_tolerant(self.path)
+        """Replay the log, tolerating a crash-torn final line
+        (see :func:`read_jsonl_tolerant`); sets :attr:`truncated_tail`."""
+        parsed, self.truncated_tail = read_jsonl_tolerant(self.path)
         return parsed
 
-    @property
-    def truncated_tail(self) -> bool:
-        """True when the last :meth:`events` call dropped a partial line."""
-        return self._truncated_tail
-
     def reset(self) -> None:
-        """Start a fresh campaign: drop the event log and all artifacts."""
-        if self.path.is_file():
-            self.path.unlink()
-        if self.artifacts.is_dir():
-            for artifact in self.artifacts.glob("*.json"):
-                artifact.unlink()
+        """Drop the log and every owned file."""
+        self.path.unlink(missing_ok=True)
+        for pattern in self.owned:
+            for path in self.root.glob(pattern):
+                path.unlink(missing_ok=True)
 
-    # ------------------------------------------------------------------
-    # campaign-level helpers
-    # ------------------------------------------------------------------
-    def campaign_seed(self) -> Optional[int]:
-        """Seed of the recorded campaign (None for an empty journal)."""
-        for record in self.events():
-            if record["event"] == "campaign-start":
-                return int(record["seed"])
-        return None
+    def begin(self, kind: str, fingerprint: dict, *, resume: bool,
+              **fields: Any) -> list[dict]:
+        """Start the job, or resume the one on record.
 
-    def start(self, seed: int, experiments: Iterable[str],
-              resumed: bool = False) -> None:
-        """Record the campaign start (or a resume of an existing one)."""
-        self.append("campaign-resume" if resumed else "campaign-start",
-                    seed=seed, experiments=list(experiments))
+        With ``resume`` set and a ``<kind>-start`` on record, the
+        recorded fingerprint (the start's keys other than ``fields``)
+        is compared key by key with ``fingerprint``, a missing key
+        reading as None; any difference raises :class:`JournalError`
+        naming each differing key with both values.  Otherwise a
+        crash-torn final line is cut from the file, a ``<kind>-resume``
+        event is appended, and the replayed events are returned.
 
-    def completed_results(self) -> dict[str, ExperimentResult]:
-        """Experiments proven done: ``complete`` event + intact artifact.
-
-        The artifact is re-read and re-parsed; a missing or damaged
-        file demotes the experiment back to pending.  Failure and skip
-        events never mask an earlier completion (completion is final).
+        In every other case -- including ``resume`` with nothing on
+        record -- the journal is reset, ``<kind>-start`` is written,
+        and an empty list is returned.  ``fields`` are recorded with
+        the fingerprint but never compared.
         """
-        done: dict[str, ExperimentResult] = {}
-        for record in self.events():
-            if record["event"] != "complete":
-                continue
-            exp_id = record["experiment"]
-            try:
-                done[exp_id] = self.read_artifact(exp_id)
-            except (OSError, json.JSONDecodeError, KeyError):
-                done.pop(exp_id, None)
-        return done
-
-    # ------------------------------------------------------------------
-    # artifacts
-    # ------------------------------------------------------------------
-    def artifact_path(self, exp_id: str) -> Path:
-        return self.artifacts / f"{exp_id}.json"
-
-    def write_artifact(self, result: ExperimentResult) -> Path:
-        """Atomically publish one experiment's canonical artifact."""
-        path = self.artifact_path(result.experiment)
-        atomic_write_text(path, result.to_json())
-        return path
-
-    def read_artifact(self, exp_id: str) -> ExperimentResult:
-        data = json.loads(self.artifact_path(exp_id).read_text("utf-8"))
-        return ExperimentResult.from_jsonable(data)
+        if resume:
+            events = self.events()
+            start = next((e for e in events
+                          if e.get("event") == f"{kind}-start"), None)
+            if start is not None:
+                recorded = {key: value for key, value in start.items()
+                            if key not in fields and key not in _STAMPS}
+                differing = sorted(
+                    key for key in set(recorded) | set(fingerprint)
+                    if recorded.get(key) != fingerprint.get(key))
+                if differing:
+                    raise JournalError(
+                        f"journal {self.path} was started with "
+                        f"{_assignments(recorded, differing)}; cannot "
+                        f"resume with {_assignments(fingerprint, differing)}")
+                if self.truncated_tail:
+                    # cut the forgiven fragment: the next append must
+                    # start a line of its own, not extend the torn one
+                    data = self.path.read_bytes()
+                    body = data[:-1] if data.endswith(b"\n") else data
+                    os.truncate(self.path, body.rfind(b"\n") + 1)
+                self.append(f"{kind}-resume", **fingerprint, **fields)
+                return events
+        self.reset()
+        self.append(f"{kind}-start", **fingerprint, **fields)
+        return []

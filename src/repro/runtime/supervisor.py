@@ -20,10 +20,25 @@ campaign alive through all of that:
   persistently-crashing scenario from sinking the campaign -- its
   remaining experiments are *skipped with a recorded reason*;
 * every state change lands in the crash-safe
-  :class:`~repro.runtime.journal.CampaignJournal` first, so
+  :class:`~repro.runtime.journal.EventJournal` first, so
   ``run(resume=True)`` after any interruption re-runs only what was
   not proven complete, and the artifacts it publishes are
   byte-identical to an uninterrupted campaign at the same seed.
+
+The campaign directory::
+
+    <root>/
+      journal.jsonl            # the campaign's event log
+      artifacts/<exp_id>.json  # canonical per-experiment results
+
+Artifacts are published atomically and their bytes are canonical
+(:meth:`~repro.experiments.result.ExperimentResult.to_json`) --
+independent of attempt counts, wall clock, or which process produced
+them; that is what makes interrupted-then-resumed campaigns
+byte-identical to uninterrupted ones.  An experiment counts as
+*completed* only when both its ``complete`` event and a parseable
+artifact exist (:meth:`CampaignSupervisor.completed_results`), so a
+crash between the two is re-run, never silently trusted.
 
 On platforms without ``fork`` the supervisor degrades to in-process
 execution with exception capture (no kill-isolation); the report says
@@ -40,14 +55,16 @@ unchanged.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.core.artifacts import atomic_write_text
 from repro.experiments.registry import EXPERIMENT_SPECS, ExperimentSpec
 from repro.experiments.result import ExperimentResult
 from repro.obs import OBS
-from repro.runtime.journal import CampaignJournal, JournalError
+from repro.runtime.journal import EventJournal
 from repro.runtime.tasks import SupervisorConfig, TaskSpec, TaskSupervisor
 
 __all__ = [
@@ -56,6 +73,9 @@ __all__ = [
     "CampaignReport",
     "CampaignSupervisor",
 ]
+
+#: artifact directory name under the campaign root
+ARTIFACTS_DIR = "artifacts"
 
 
 @dataclass
@@ -155,9 +175,45 @@ class CampaignSupervisor(TaskSupervisor):
             table = tuple(s for s in table if s.experiment in wanted)
         self.specs = table
         self._spec_by_id = {s.experiment: s for s in table}
-        super().__init__(CampaignJournal(root),
-                         [_as_task(s) for s in table],
+        journal = EventJournal(root, "journal.jsonl",
+                               owned=(f"{ARTIFACTS_DIR}/*.json",))
+        super().__init__(journal, [_as_task(s) for s in table],
                          config=config, seed=seed)
+
+    # ------------------------------------------------------------------
+    # artifacts
+    # ------------------------------------------------------------------
+    def artifact_path(self, exp_id: str) -> Path:
+        return self.journal.root / ARTIFACTS_DIR / f"{exp_id}.json"
+
+    def write_artifact(self, result: ExperimentResult) -> Path:
+        """Atomically publish one experiment's canonical artifact."""
+        path = self.artifact_path(result.experiment)
+        atomic_write_text(path, result.to_json())
+        return path
+
+    def read_artifact(self, exp_id: str) -> ExperimentResult:
+        data = json.loads(self.artifact_path(exp_id).read_text("utf-8"))
+        return ExperimentResult.from_jsonable(data)
+
+    def completed_results(
+            self, events: Sequence[dict]) -> dict[str, ExperimentResult]:
+        """Experiments proven done: ``complete`` event + intact artifact.
+
+        The artifact is re-read and re-parsed; a missing or damaged
+        file demotes the experiment back to pending.  Failure and skip
+        events never mask an earlier completion (completion is final).
+        """
+        done: dict[str, ExperimentResult] = {}
+        for record in events:
+            if record["event"] != "complete":
+                continue
+            exp_id = record["experiment"]
+            try:
+                done[exp_id] = self.read_artifact(exp_id)
+            except (OSError, json.JSONDecodeError, KeyError):
+                done.pop(exp_id, None)
+        return done
 
     # ------------------------------------------------------------------
     # TaskSupervisor hooks
@@ -166,7 +222,7 @@ class CampaignSupervisor(TaskSupervisor):
                  attempt: int) -> ExperimentResult:
         """Atomically publish the experiment's canonical artifact."""
         result = ExperimentResult.from_jsonable(payload)
-        self.journal.write_artifact(result)
+        self.write_artifact(result)
         return result
 
     def _complete_fields(self, task: TaskSpec,
@@ -203,28 +259,17 @@ class CampaignSupervisor(TaskSupervisor):
 
     def _run(self, resume: bool) -> CampaignReport:
         """The campaign body (``run`` wraps it in the root span)."""
-        outcomes: dict[str, ExperimentOutcome] = {}
-        if resume:
-            recorded = self.journal.campaign_seed()
-            if recorded is not None and recorded != self.seed:
-                raise JournalError(
-                    f"journal at {self.journal.root} was started with seed "
-                    f"{recorded}; cannot resume with seed {self.seed}")
-            completed = self.journal.completed_results()
-            for spec in self.specs:
-                result = completed.get(spec.experiment)
-                if result is not None:
-                    outcomes[spec.experiment] = ExperimentOutcome(
-                        experiment=spec.experiment,
-                        scenario=spec.scenario,
-                        status="completed",
-                        result=result,
-                        from_journal=True,
-                    )
-        else:
-            self.journal.reset()
-        self.journal.start(self.seed, [s.experiment for s in self.specs],
-                           resumed=resume)
+        events = self.journal.begin(
+            "campaign", {"seed": self.seed}, resume=resume,
+            experiments=[s.experiment for s in self.specs])
+        completed = self.completed_results(events)
+        outcomes = {
+            spec.experiment: ExperimentOutcome(
+                experiment=spec.experiment, scenario=spec.scenario,
+                status="completed", result=completed[spec.experiment],
+                from_journal=True)
+            for spec in self.specs if spec.experiment in completed
+        }
         self.execute(outcomes)
         report = CampaignReport(
             seed=self.seed,

@@ -243,9 +243,10 @@ class TaskSupervisor:
     """Drive a table of :class:`TaskSpec` to completion under supervision.
 
     Subclasses set the class attributes to name their domain and
-    override the outcome/publish hooks.  The ``journal`` can be
-    anything with the campaign journal's ``append(event, **fields)``
-    signature -- every state change lands there before it is acted on.
+    override the outcome/publish hooks.  The ``journal`` is the job's
+    :class:`~repro.runtime.journal.EventJournal` (anything with its
+    ``append(event, **fields)`` signature will do) -- every state
+    change lands there before it is acted on.
     """
 
     #: journal field carrying the task id ("experiment", "shard", ...)

@@ -8,8 +8,10 @@ are still being written**, without changing the answer:
   survive rotation, copy-truncate, gzip compression, truncation, and
   torn mid-line writes while reproducing the batch readers' records,
   order, and ingestion accounting exactly;
-* :mod:`repro.stream.checkpoint` -- the append-only crash journal that
-  makes ``repro watch --resume`` exactly-once after a SIGKILL;
+* :mod:`repro.stream.checkpoint` -- the checkpoint vocabulary and its
+  replay (:class:`WatchState`); the file itself is the shared
+  :class:`~repro.runtime.journal.EventJournal`, and together they make
+  ``repro watch --resume`` exactly-once after a SIGKILL;
 * :mod:`repro.stream.alerts` -- deterministic-id early warnings for the
   node-scoped failure precursors (paper Obs. 5/6), emitted the moment
   their line is tailed;
@@ -21,11 +23,7 @@ are still being written**, without changing the answer:
 """
 
 from repro.stream.alerts import Alert, AlertEngine
-from repro.stream.checkpoint import (
-    CheckpointError,
-    WatchCheckpoint,
-    WatchState,
-)
+from repro.stream.checkpoint import WatchState
 from repro.stream.daemon import (
     WatchConfig,
     WatchDaemon,
@@ -38,11 +36,9 @@ from repro.stream.tailer import LogTailer, TailStats
 __all__ = [
     "Alert",
     "AlertEngine",
-    "CheckpointError",
     "LogTailer",
     "ReplayWriter",
     "TailStats",
-    "WatchCheckpoint",
     "WatchConfig",
     "WatchDaemon",
     "WatchReport",

@@ -1,16 +1,19 @@
-"""Crash-safe watch checkpoint: the daemon's append-only source of truth.
+"""The watch daemon's checkpoint vocabulary and its replay.
 
 One JSONL file (``checkpoint.jsonl`` under the watch output directory)
-records everything a killed daemon needs to pick up where it left off,
-with the same append-then-flush contract the campaign journal makes
-(:mod:`repro.runtime.journal`): a SIGKILL can tear at most the final
-line, and :func:`~repro.runtime.journal.read_jsonl_tolerant` forgives
-exactly that.
+records everything a killed daemon needs to pick up where it left off.
+It is an :class:`~repro.runtime.journal.EventJournal` -- the same
+append-then-flush log the campaign and the fleet keep: a SIGKILL can
+tear at most the final line, and the replay forgives exactly that.
+This module holds only what is particular to the watch: the event
+vocabulary and :class:`WatchState`, the state a resume rebuilds.
 
 Event vocabulary::
 
-    watch-start    window_days, error_policy, system, seed, resumed,
+    watch-start    window_days, error_policy,      # the fingerprint
+                   system, seed,
                    missing=[...]      # sources frozen absent at startup
+    watch-resume   the same fields, as seen when the resume began
     alerts         ids=[...]          # durably acknowledged alert ids
     window-close   window, start_day, end_day, watermark,
                    offsets={rel: {offset, prefix}},   # boundary offsets
@@ -32,29 +35,19 @@ writes can duplicate nothing and lose nothing.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
-from repro.core.artifacts import append_jsonl_line
 from repro.logs.health import IngestionHealth, SourceHealth
 from repro.logs.record import LogSource
-from repro.runtime.journal import read_jsonl_tolerant
 
 __all__ = [
-    "WatchCheckpoint",
     "WatchState",
-    "CheckpointError",
     "health_to_jsonable",
     "health_from_jsonable",
 ]
 
 #: checkpoint file name under the watch output directory
 CHECKPOINT_NAME = "checkpoint.jsonl"
-
-
-class CheckpointError(RuntimeError):
-    """A checkpoint is unusable for the requested resume (e.g. it was
-    written with a different window size than the one requested)."""
 
 
 def health_to_jsonable(health: IngestionHealth) -> dict:
@@ -77,14 +70,14 @@ def health_from_jsonable(data: dict) -> IngestionHealth:
 
 
 class WatchState:
-    """Everything a resumed daemon restores from one checkpoint replay."""
+    """Everything a resumed daemon restores from the checkpoint's
+    replayed events (the list :meth:`EventJournal.begin
+    <repro.runtime.journal.EventJournal.begin>` returns on a resume)."""
 
-    __slots__ = ("started", "config", "windows", "emitted_ids",
-                 "offsets", "watermark", "health", "truncated_tail",
-                 "finalized")
+    __slots__ = ("config", "windows", "emitted_ids", "offsets",
+                 "watermark", "health", "finalized")
 
-    def __init__(self) -> None:
-        self.started = False
+    def __init__(self, events: Iterable[dict] = ()) -> None:
         #: the watch-start fields (window_days, error_policy, ...)
         self.config: dict[str, Any] = {}
         #: window index -> its window-close event (last write wins)
@@ -97,10 +90,25 @@ class WatchState:
         self.watermark: float = float("-inf")
         #: boundary health of the latest closed window (None == fresh)
         self.health: Optional[IngestionHealth] = None
-        #: the checkpoint ended in a crash-torn line
-        self.truncated_tail = False
         #: a finalize event exists (the watch ran to completion)
         self.finalized = False
+        for record in events:
+            kind = record.get("event")
+            if kind == "watch-start":
+                self.config = {k: v for k, v in record.items()
+                               if k != "event"}
+            elif kind == "alerts":
+                self.emitted_ids.update(record.get("ids", ()))
+            elif kind == "window-close":
+                self.windows[int(record["window"])] = record
+                self.offsets = record.get("offsets", {})
+                self.watermark = float(record.get("watermark",
+                                                  float("-inf")))
+                health = record.get("health")
+                self.health = (health_from_jsonable(health)
+                               if health is not None else None)
+            elif kind == "finalize":
+                self.finalized = True
 
     @property
     def next_window(self) -> int:
@@ -110,82 +118,3 @@ class WatchState:
     def closed_windows(self) -> list[dict]:
         """The window-close events in window order."""
         return [self.windows[k] for k in sorted(self.windows)]
-
-
-class WatchCheckpoint:
-    """The append-only checkpoint file of one watch output directory."""
-
-    def __init__(self, root: Path | str) -> None:
-        self.root = Path(root)
-        self.path = self.root / CHECKPOINT_NAME
-
-    # ------------------------------------------------------------------
-    def append(self, event: str, **fields: Any) -> dict:
-        """Append one event line (flushed before returning).
-
-        Shares the campaign journal's append discipline via
-        :func:`repro.core.artifacts.append_jsonl_line` -- the two
-        crash-safety contracts are one implementation.
-        """
-        record = {"event": event, **fields}
-        append_jsonl_line(self.path, record)
-        return record
-
-    def exists(self) -> bool:
-        return self.path.is_file()
-
-    def reset(self) -> None:
-        """Start fresh: drop any previous checkpoint."""
-        if self.path.is_file():
-            self.path.unlink()
-
-    # ------------------------------------------------------------------
-    def load(self) -> WatchState:
-        """Replay the checkpoint into a :class:`WatchState`.
-
-        Tolerates (and reports) a crash-torn final line; raises
-        :class:`~repro.runtime.journal.JournalError` for damage anywhere
-        else, because that means the file was edited, not crashed.
-        """
-        state = WatchState()
-        events, state.truncated_tail = read_jsonl_tolerant(self.path)
-        for record in events:
-            kind = record.get("event")
-            if kind == "watch-start":
-                state.started = True
-                state.config = {k: v for k, v in record.items()
-                                if k != "event"}
-            elif kind == "alerts":
-                state.emitted_ids.update(record.get("ids", ()))
-            elif kind == "window-close":
-                state.windows[int(record["window"])] = record
-                state.offsets = record.get("offsets", {})
-                state.watermark = float(record.get("watermark",
-                                                   float("-inf")))
-                health = record.get("health")
-                state.health = (health_from_jsonable(health)
-                                if health is not None else None)
-            elif kind == "finalize":
-                state.finalized = True
-        return state
-
-    def check_resumable(self, state: WatchState,
-                        window_days: int, error_policy: str) -> None:
-        """Reject a resume whose configuration contradicts the record.
-
-        Window geometry and ``error_policy`` both change what every window
-        report contains; silently mixing them would produce an artifact
-        that matches *neither* configuration's batch run.
-        """
-        if not state.started:
-            return
-        recorded_days = state.config.get("window_days")
-        if recorded_days is not None and int(recorded_days) != window_days:
-            raise CheckpointError(
-                f"checkpoint was written with window_days="
-                f"{recorded_days}, cannot resume with {window_days}")
-        recorded_policy = state.config.get("error_policy")
-        if recorded_policy is not None and recorded_policy != error_policy:
-            raise CheckpointError(
-                f"checkpoint was written with error_policy="
-                f"{recorded_policy!r}, cannot resume with {error_policy!r}")

@@ -41,8 +41,10 @@ How the batch equivalences are kept:
   evicted (:meth:`~repro.core.index.RecordIndex.evict_before`), so
   resident records track the open window, not the stream's age.
 
-Crash safety is delegated to :mod:`repro.stream.checkpoint` (window
-closes carry boundary-consistent offsets + health) and
+Crash safety is delegated to the daemon's
+:class:`~repro.runtime.journal.EventJournal` with the vocabulary of
+:mod:`repro.stream.checkpoint` (window closes carry boundary-consistent
+offsets + health) and
 :mod:`repro.stream.alerts` (deterministic ids, ack-after-write): a
 SIGKILL at any poll, resumed with ``--resume``, re-emits no duplicate
 alert, loses no alert, and finalizes to the same bytes.
@@ -73,11 +75,12 @@ from repro.logs.store import LogStore
 from repro.obs import OBS
 from repro.core.artifacts import write_canonical_artifact
 from repro.runtime.faults import inject
+from repro.runtime.journal import EventJournal
 from repro.simul.clock import DAY
-from repro.stream.alerts import AlertEngine
+from repro.stream.alerts import ALERTS_NAME, AlertEngine
 from repro.stream.checkpoint import (
-    CheckpointError,
-    WatchCheckpoint,
+    CHECKPOINT_NAME,
+    WatchState,
     health_to_jsonable,
 )
 from repro.stream.tailer import LogTailer
@@ -166,7 +169,8 @@ class WatchDaemon:
             self.total_nodes: Optional[int] = get_system(manifest.system).nodes
         except KeyError:
             self.total_nodes = None
-        self.checkpoint = WatchCheckpoint(config.out)
+        self.journal = EventJournal(config.out, CHECKPOINT_NAME,
+                                    owned=(ALERTS_NAME, REPORT_NAME))
         self._started = False
         self._stop = False
         self._poll_no = 0
@@ -184,54 +188,39 @@ class WatchDaemon:
         if self._started:
             return
         config = self.config
-        state = None
-        if config.resume and self.checkpoint.exists():
-            state = self.checkpoint.load()
-            self.checkpoint.check_resumable(
-                state, config.window_days, config.error_policy.value)
-        resumed = state is not None and state.started
+        missing = [s.value for s in LogSource
+                   if not self.store.source_files(s)]
+        events = self.journal.begin(
+            "watch", {"window_days": config.window_days,
+                      "error_policy": config.error_policy.value},
+            resume=config.resume, system=self.system, seed=self.seed,
+            missing=missing)
+        resumed = bool(events)
         self.resumed = resumed
-        if not resumed:
-            self.checkpoint.reset()
-            alerts_path = Path(config.out) / "alerts.jsonl"
-            if alerts_path.is_file():
-                alerts_path.unlink()
-            self.health = IngestionHealth()
-            self.engine = AlertEngine(config.out)
-            self.windows: list[dict] = []
-            self.next_window = 0
-            self.watermark = float("-inf")
-        else:
-            self.health = (state.health if state.health is not None
-                           else IngestionHealth())
-            self.engine = AlertEngine.resume(config.out, state.emitted_ids)
-            self.windows = state.closed_windows()
-            self.next_window = state.next_window
-            self.watermark = state.watermark
+        state = WatchState(events)
+        self.health = (state.health if state.health is not None
+                       else IngestionHealth())
+        self.engine = (AlertEngine.resume(config.out, state.emitted_ids)
+                       if resumed else AlertEngine(config.out))
+        self.windows: list[dict] = state.closed_windows()
+        self.next_window = state.next_window
+        self.watermark = state.watermark
         # missing sources are frozen at the *original* startup, matching
         # the batch driver's decision at read time (see module
         # docstring).  A resume restores the frozen list from the
-        # checkpoint rather than re-inspecting the directory: a source
-        # whose file is only transiently absent at resume time (e.g.
-        # mid-rotation, or deleted by the very fault that killed the
-        # previous daemon) must not be reclassified as missing.
-        if resumed and state is not None and "missing" in state.config:
-            self.missing = [LogSource(v) for v in state.config["missing"]]
-        else:
-            self.missing = [s for s in LogSource
-                            if not self.store.source_files(s)]
+        # watch-start event rather than re-inspecting the directory: a
+        # source whose file is only transiently absent at resume time
+        # (e.g. mid-rotation, or deleted by the very fault that killed
+        # the previous daemon) must not be reclassified as missing.
+        self.missing = [LogSource(v)
+                        for v in state.config.get("missing", missing)]
         self.tailer = LogTailer(
             self.store, self.clock, config.error_policy, self.health,
             boundary_seconds=config.window_days * DAY,
             reset_quarantine=not resumed)
-        if resumed and state is not None:
+        if resumed:
             self.tailer.seed(state.offsets)
         self.index = RecordIndex.build([], [], [])
-        self.checkpoint.append(
-            "watch-start", window_days=config.window_days,
-            error_policy=config.error_policy.value, system=self.system,
-            seed=self.seed, resumed=resumed,
-            missing=[s.value for s in self.missing])
         self._started = True
 
     def stop(self) -> None:
@@ -325,7 +314,7 @@ class WatchDaemon:
             self.alerts_emitted += len(fresh)
             # ack-after-write: the ids are durable only once the alert
             # lines themselves are flushed (emit() just did that)
-            self.checkpoint.append(
+            self.journal.append(
                 "alerts", ids=[alert.alert_id for alert in fresh])
 
     # ------------------------------------------------------------------
@@ -371,7 +360,7 @@ class WatchDaemon:
         boundary = window + 1
         health_snapshot = self.tailer.boundary_health(boundary)
         offsets = self.tailer.boundary_snapshot(boundary)
-        event = self.checkpoint.append(
+        event = self.journal.append(
             "window-close", window=window, start_day=start_day,
             end_day=end_day, watermark=self.watermark, offsets=offsets,
             health=health_to_jsonable(health_snapshot), report=report_dict)
@@ -430,8 +419,8 @@ class WatchDaemon:
             })
         report_path = Path(self.config.out) / REPORT_NAME
         digest = write_canonical_artifact(report_path, windows_out)
-        self.checkpoint.append("finalize", digest=digest,
-                               windows=len(windows_out))
+        self.journal.append("finalize", digest=digest,
+                            windows=len(windows_out))
         if OBS.enabled:
             OBS.metrics.gauge("index.resident_records").set(
                 self.index.resident_records())
@@ -440,12 +429,12 @@ class WatchDaemon:
             digest=digest,
             report_path=report_path,
             alerts_path=self.engine.path,
-            checkpoint_path=self.checkpoint.path,
+            checkpoint_path=self.journal.path,
             polls=self._poll_no,
             records=self.records_appended,
             alerts_emitted=self.alerts_emitted,
             windows_closed=len(windows_out),
-            resumed=getattr(self, "resumed", False),
+            resumed=self.resumed,
             tail_stats=self.tailer.stats.as_dict(),
         )
         return self._finalized

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.runtime.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec
-from repro.runtime.journal import ARTIFACTS_DIR
+from repro.runtime.supervisor import ARTIFACTS_DIR
 
 pytestmark = pytest.mark.chaos
 

@@ -69,9 +69,9 @@ def test_clean_fleet_run(tmp_path, cache_dir):
     assert report.exit_code() == 0
     # every covered shard is backed by a validating on-disk artifact
     for member_id in SPEC.member_ids:
-        artifact = read_shard_artifact(sup.journal.shard_path(member_id))
+        artifact = read_shard_artifact(sup.shard_path(member_id))
         assert artifact.report["system"] == member_id
-    assert sup.journal.report_path.is_file()
+    assert sup.report_path.is_file()
     assert events(sup, "fleet-end")
 
 
@@ -82,19 +82,19 @@ def test_sequential_and_concurrent_reports_match(tmp_path, cache_dir):
     conc = make_supervisor(tmp_path / "conc", cache_dir, max_workers=3)
     seq.run()
     conc.run()
-    assert (seq.journal.report_path.read_bytes()
-            == conc.journal.report_path.read_bytes())
+    assert (seq.report_path.read_bytes()
+            == conc.report_path.read_bytes())
 
 
 @supervision
 def test_resume_is_byte_identical_and_lazy(tmp_path, cache_dir):
     sup = make_supervisor(tmp_path / "fleet", cache_dir)
     sup.run()
-    before = sup.journal.report_path.read_bytes()
+    before = sup.report_path.read_bytes()
     resumed = make_supervisor(tmp_path / "fleet", cache_dir)
     report = resumed.run(resume=True)
     assert report.conserved
-    assert resumed.journal.report_path.read_bytes() == before
+    assert resumed.report_path.read_bytes() == before
     # nothing re-ran: no start events after the fleet-resume marker
     log = resumed.journal.events()
     marker = max(i for i, e in enumerate(log)
@@ -108,8 +108,8 @@ def test_resume_heals_rotted_artifact(tmp_path, cache_dir):
     """Bit rot between runs: detected by checksum, rebuilt, same bytes."""
     sup = make_supervisor(tmp_path / "fleet", cache_dir)
     sup.run()
-    before = sup.journal.report_path.read_bytes()
-    victim = sup.journal.shard_path("sys-001")
+    before = sup.report_path.read_bytes()
+    victim = sup.shard_path("sys-001")
     data = bytearray(victim.read_bytes())
     data[len(data) // 2] ^= 0xFF
     victim.write_bytes(bytes(data))
@@ -119,7 +119,7 @@ def test_resume_heals_rotted_artifact(tmp_path, cache_dir):
     resumed = make_supervisor(tmp_path / "fleet", cache_dir)
     report = resumed.run(resume=True)
     assert report.coverage == {"fleet": 3, "covered": 3, "degraded": 0}
-    assert resumed.journal.report_path.read_bytes() == before
+    assert resumed.report_path.read_bytes() == before
     read_shard_artifact(victim)  # healed in place
     assert events(resumed, "artifact-invalid")
     log = resumed.journal.events()
@@ -184,11 +184,58 @@ def test_resume_with_different_shape_refuses(tmp_path, cache_dir):
         other.run(resume=True)
 
 
+@supervision
+@pytest.mark.parametrize("started, resumed", [
+    ("cray-xc", "cray-xc"),
+    # a start without the key -- as every journal written before the
+    # platform was recorded -- resumes with the platform unset
+    (None, None),
+])
+def test_resume_keeps_the_forced_platform(tmp_path, cache_dir, started,
+                                          resumed):
+    one = dict(systems=1, days=1, seed=SPEC.seed)
+    make_supervisor(tmp_path / "fleet", cache_dir,
+                    spec=FleetSpec(platform=started, **one)).run()
+    again = make_supervisor(tmp_path / "fleet", cache_dir,
+                            spec=FleetSpec(platform=resumed, **one))
+    report = again.run(resume=True)
+    assert report.coverage == {"fleet": 1, "covered": 1, "degraded": 0}
+    assert events(again, "fleet-resume")
+
+
+@supervision
+def test_resume_without_the_forced_platform_refuses(tmp_path, cache_dir):
+    one = dict(systems=1, days=1, seed=SPEC.seed)
+    make_supervisor(tmp_path / "fleet", cache_dir,
+                    spec=FleetSpec(platform="bgq-ras", **one)).run()
+    other = make_supervisor(tmp_path / "fleet", cache_dir,
+                            spec=FleetSpec(**one))
+    with pytest.raises(JournalError, match="platform='bgq-ras'; cannot "
+                       "resume with platform=None"):
+        other.run(resume=True)
+
+
+@supervision
+def test_first_run_with_resume_records_the_seed(tmp_path, cache_dir):
+    """``--resume`` on an empty directory starts fresh -- and records
+    the start, so a later resume at another seed is refused."""
+    one = dict(systems=1, days=1)
+    first = make_supervisor(tmp_path / "fleet", cache_dir,
+                            spec=FleetSpec(seed=SPEC.seed, **one))
+    first.run(resume=True)
+    assert events(first, "fleet-start")
+    other = make_supervisor(tmp_path / "fleet", cache_dir,
+                            spec=FleetSpec(seed=SPEC.seed + 1, **one))
+    with pytest.raises(JournalError, match="seed=21; cannot resume with "
+                       "seed=22"):
+        other.run(resume=True)
+
+
 def test_fleet_report_json_round_trip(tmp_path, cache_dir):
     from repro.fleet import FleetReport
 
     sup = make_supervisor(tmp_path / "fleet", cache_dir, max_workers=1)
     report = sup.run()
-    on_disk = json.loads(sup.journal.report_path.read_text())
+    on_disk = json.loads(sup.report_path.read_text())
     assert FleetReport.from_jsonable(on_disk).coverage == report.coverage
     assert on_disk == report.to_jsonable()

@@ -71,7 +71,7 @@ class TestCleanCampaign:
         assert [o.experiment for o in report.outcomes] == \
             ["a1", "a2", "b1", "solo"]
         for o in report.outcomes:
-            assert sup.journal.artifact_path(o.experiment).is_file()
+            assert sup.artifact_path(o.experiment).is_file()
 
     def test_inline_mode_happy_path(self, tmp_path):
         sup = CampaignSupervisor(tmp_path / "camp", seed=7, specs=SPECS,
@@ -251,15 +251,28 @@ class TestResume:
                                    config=config)
         clean.run()
         for spec_ in SPECS:
-            interrupted = sup.journal.artifact_path(spec_.experiment)
-            reference = clean.journal.artifact_path(spec_.experiment)
+            interrupted = sup.artifact_path(spec_.experiment)
+            reference = clean.artifact_path(spec_.experiment)
             assert interrupted.read_bytes() == reference.read_bytes()
 
     def test_resume_with_wrong_seed_refused(self, tmp_path):
         config = fast_config(isolated=False)
         CampaignSupervisor(tmp_path / "camp", seed=7, specs=SPECS,
                            config=config).run()
-        with pytest.raises(JournalError, match="seed 7"):
+        with pytest.raises(JournalError, match="seed=7"):
+            CampaignSupervisor(tmp_path / "camp", seed=8, specs=SPECS,
+                               config=config).run(resume=True)
+
+    def test_first_run_with_resume_records_the_seed(self, tmp_path):
+        """``--resume`` on an empty directory starts fresh -- and records
+        the start, so a later resume at another seed is refused rather
+        than trusting the seed-7 artifacts."""
+        config = fast_config(isolated=False)
+        first = CampaignSupervisor(tmp_path / "camp", seed=7, specs=SPECS,
+                                   config=config).run(resume=True)
+        assert not any(o.from_journal for o in first.outcomes)
+        with pytest.raises(JournalError, match="seed=7; cannot resume "
+                           "with seed=8"):
             CampaignSupervisor(tmp_path / "camp", seed=8, specs=SPECS,
                                config=config).run(resume=True)
 

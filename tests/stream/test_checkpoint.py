@@ -1,4 +1,8 @@
-"""Checkpoint replay: load/resume roundtrips and crash tolerance."""
+"""Checkpoint replay: load/resume roundtrips of the watch vocabulary.
+
+The crash tolerance of the file itself (torn tail, mid-file damage,
+reset) is the shared journal contract in tests/runtime/test_journal.py.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +10,33 @@ import pytest
 
 from repro.logs.health import IngestionHealth
 from repro.logs.record import LogSource
-from repro.runtime.journal import JournalError
+from repro.runtime.journal import EventJournal, JournalError
 from repro.stream.checkpoint import (
-    CheckpointError,
-    WatchCheckpoint,
+    CHECKPOINT_NAME,
+    WatchState,
     health_from_jsonable,
     health_to_jsonable,
 )
 
 
-def make_checkpoint(tmp_path) -> WatchCheckpoint:
-    return WatchCheckpoint(tmp_path / "watch")
+def make_checkpoint(tmp_path) -> EventJournal:
+    return EventJournal(tmp_path / "watch", CHECKPOINT_NAME)
 
 
-def write_run(cp: WatchCheckpoint) -> None:
+def load(cp: EventJournal) -> WatchState:
+    return WatchState(cp.events())
+
+
+def begin(cp: EventJournal, window_days: int, error_policy: str) -> list:
+    return cp.begin("watch", {"window_days": window_days,
+                              "error_policy": error_policy},
+                    resume=True, system="TT", seed=1, missing=["erd"])
+
+
+def write_run(cp: EventJournal) -> None:
     """A plausible two-window run worth of events."""
     cp.append("watch-start", window_days=1, error_policy="skip",
-              system="TT", seed=1, resumed=False, missing=["erd"])
+              system="TT", seed=1, missing=["erd"])
     cp.append("alerts", ids=["aaaa", "bbbb"])
     cp.append("window-close", window=0, start_day=0, end_day=1,
               watermark=90000.0, offsets={"p0/console.log": {
@@ -41,8 +55,7 @@ class TestLoad:
     def test_roundtrip_restores_everything(self, tmp_path):
         cp = make_checkpoint(tmp_path)
         write_run(cp)
-        state = cp.load()
-        assert state.started
+        state = load(cp)
         assert state.config["window_days"] == 1
         assert state.config["missing"] == ["erd"]
         assert state.emitted_ids == {"aaaa", "bbbb", "cccc"}
@@ -53,15 +66,15 @@ class TestLoad:
         assert state.watermark == 180000.0
         assert state.health is not None
         assert state.health.source(LogSource.CONSOLE).read == 7
-        assert not state.truncated_tail
+        assert not cp.truncated_tail
         assert not state.finalized
 
     def test_fresh_state_before_any_window(self, tmp_path):
         cp = make_checkpoint(tmp_path)
         cp.append("watch-start", window_days=1, error_policy="skip",
-                  system="TT", seed=1, resumed=False, missing=[])
-        state = cp.load()
-        assert state.started
+                  system="TT", seed=1, missing=[])
+        state = load(cp)
+        assert state.config["missing"] == []
         assert state.next_window == 0
         assert state.health is None
         assert state.watermark == float("-inf")
@@ -70,55 +83,29 @@ class TestLoad:
         cp = make_checkpoint(tmp_path)
         write_run(cp)
         cp.append("finalize", digest="d", windows=2)
-        assert cp.load().finalized
-
-
-class TestCrashTolerance:
-    def test_torn_final_line_is_forgiven(self, tmp_path):
-        cp = make_checkpoint(tmp_path)
-        write_run(cp)
-        with cp.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"event": "window-close", "window": 2, "sta')
-        state = cp.load()
-        assert state.truncated_tail
-        # the torn window-close never happened
-        assert state.next_window == 2
-
-    def test_mid_file_damage_raises(self, tmp_path):
-        cp = make_checkpoint(tmp_path)
-        write_run(cp)
-        lines = cp.path.read_text(encoding="utf-8").splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2]  # not the final line
-        cp.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(JournalError):
-            cp.load()
-
-    def test_reset_drops_the_file(self, tmp_path):
-        cp = make_checkpoint(tmp_path)
-        write_run(cp)
-        cp.reset()
-        assert not cp.exists()
+        assert load(cp).finalized
 
 
 class TestResumable:
     def test_matching_config_passes(self, tmp_path):
         cp = make_checkpoint(tmp_path)
         write_run(cp)
-        cp.check_resumable(cp.load(), window_days=1, error_policy="skip")
+        state = WatchState(begin(cp, window_days=1, error_policy="skip"))
+        assert state.next_window == 2
+        assert cp.events()[-1]["event"] == "watch-resume"
 
     def test_window_days_mismatch_raises(self, tmp_path):
         cp = make_checkpoint(tmp_path)
         write_run(cp)
-        with pytest.raises(CheckpointError, match="window_days"):
-            cp.check_resumable(cp.load(), window_days=7,
-                               error_policy="skip")
+        with pytest.raises(JournalError, match="window_days=1; cannot "
+                           "resume with window_days=7"):
+            begin(cp, window_days=7, error_policy="skip")
 
     def test_error_policy_mismatch_raises(self, tmp_path):
         cp = make_checkpoint(tmp_path)
         write_run(cp)
-        with pytest.raises(CheckpointError, match="error_policy"):
-            cp.check_resumable(cp.load(), window_days=1,
-                               error_policy="strict")
+        with pytest.raises(JournalError, match="error_policy"):
+            begin(cp, window_days=1, error_policy="strict")
 
 
 class TestHealthJsonable:

@@ -8,8 +8,8 @@ import pytest
 
 from repro.core.serialize import report_digest
 from repro.logs.record import LogSource
+from repro.runtime.journal import JournalError
 from repro.simul.clock import DAY
-from repro.stream.checkpoint import CheckpointError
 from repro.stream.daemon import (
     WatchConfig,
     WatchDaemon,
@@ -98,7 +98,8 @@ class TestCrashSafety:
         drive_daemon(writer, make())
         wrong = WatchDaemon(WatchConfig(logdir=writer.store.root, out=out,
                                         window_days=7, resume=True))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(JournalError, match="window_days=1; cannot "
+                           "resume with window_days=7"):
             wrong.start()
 
 

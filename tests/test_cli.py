@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -251,6 +256,30 @@ class TestRunAllCommand:
         with pytest.raises(SystemExit, match="unknown experiments"):
             main(["run-all", "--out", str(tmp_path / "c"),
                   "--no-isolation", "--only", "nope"])
+
+
+class TestWatchCommand:
+    def test_resume_on_damaged_checkpoint_is_clean_error(self, logdir,
+                                                         tmp_path):
+        """Damage before the checkpoint's last line: exit 1 with the
+        journal's diagnostic on stderr, no traceback (a real process, so
+        the exit code and stream are the user's)."""
+        out = tmp_path / "watch"
+        out.mkdir()
+        (out / "checkpoint.jsonl").write_text(
+            '{"event": "watch-st\n{"event": "alerts", "ids": []}\n',
+            encoding="utf-8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "watch", str(logdir),
+             "--out", str(out), "--resume", "--max-polls", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: corrupt journal line 1 ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCacheCommand:

@@ -38,16 +38,12 @@ class TestUnifiedErrorPolicyMessages:
             api.DiagnoseRequest(logdir=str(tmp_path), error_policy="nope")
 
     def test_checkpoint_resume_mismatch_says_error_policy(self, tmp_path):
-        from repro.stream.checkpoint import (
-            CheckpointError,
-            WatchCheckpoint,
-            WatchState,
-        )
+        from repro.runtime.journal import EventJournal, JournalError
+        from repro.stream.checkpoint import CHECKPOINT_NAME
 
-        checkpoint = WatchCheckpoint(tmp_path)
-        state = WatchState()
-        state.started = True
-        state.config = {"window_days": 1, "error_policy": "skip"}
-        with pytest.raises(CheckpointError, match="error_policy="):
-            checkpoint.check_resumable(state, window_days=1,
-                                       error_policy="strict")
+        checkpoint = EventJournal(tmp_path, CHECKPOINT_NAME)
+        checkpoint.append("watch-start", window_days=1, error_policy="skip")
+        with pytest.raises(JournalError, match="error_policy="):
+            checkpoint.begin("watch", {"window_days": 1,
+                                       "error_policy": "strict"},
+                             resume=True)
