@@ -3,11 +3,14 @@
 #
 #   1. tier-1: the default pytest run (fast unit + integration tests;
 #      chaos-marked tests excluded via pyproject addopts)
-#   2. supervision smoke: the process-level supervisor tests alone, as
-#      a focused re-run (they are part of tier-1 too; this isolates
-#      worker/fork behaviour when debugging an environment), plus the
-#      event-journal contract (tests/runtime/test_journal.py) that the
-#      campaign, fleet and watch resumes all rely on
+#   2. supervision smoke: the process-level tests of the one task
+#      scheduler alone, as a focused re-run (they are part of tier-1
+#      too; this isolates worker/fork behaviour when debugging an
+#      environment) -- the campaign (tests/runtime), the fleet
+#      (tests/fleet) and the obs fork boundary
+#      (tests/obs/test_fork_boundary.py) all ride the same engine --
+#      plus the event-journal contract (tests/runtime/test_journal.py)
+#      that the campaign, fleet and watch resumes all rely on
 #   3. streaming smoke: a real `repro watch` subprocess tails a live
 #      directory, alerts on a fed increment, and finalizes cleanly on
 #      SIGTERM (tests/stream/test_cli_smoke.py, -m streaming); the
@@ -54,7 +57,8 @@ echo "== tier-1 (default pytest run) =="
 python -m pytest -q
 
 echo "== supervision smoke + journal contract (pytest -m supervision) =="
-python -m pytest tests/runtime -m supervision -q
+python -m pytest tests/runtime tests/fleet tests/obs/test_fork_boundary.py \
+    -m supervision -q
 python -m pytest tests/runtime/test_journal.py -q
 
 echo "== streaming smoke (pytest -m streaming) =="

@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "what the journal cannot prove complete")
     p_fleet.add_argument("--max-workers", type=int, default=None,
                          metavar="N",
-                         help="concurrent shard workers (default: cpu-1, "
-                              "capped at 8; 1 forces sequential)")
+                         help="shard worker slots (default: cpu-1, "
+                              "capped at 8; 1 runs one shard at a time)")
     p_fleet.add_argument("--trace", type=Path, default=None, metavar="PATH",
                          help="record the run and write a Chrome "
                               "trace-event JSON file")
@@ -628,9 +628,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     try:
         spec = FleetSpec(systems=args.systems, days=args.days,
                          seed=args.seed, platform=args.platform)
+        config = fleet_config(max_workers=args.max_workers)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    config = fleet_config(max_workers=args.max_workers)
     try:
         supervisor = FleetSupervisor(args.out, spec=spec, config=config)
         with _obs_session(args):

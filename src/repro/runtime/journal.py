@@ -52,7 +52,16 @@ _STAMPS = ("event", "wall")
 class JournalError(RuntimeError):
     """A journal is unusable for the requested operation: damaged before
     its last line, or resumed with a fingerprint that differs from the
-    one it was started with."""
+    one it was started with.
+
+    ``detail`` is the message without the journal's path, phrased to
+    follow a name for the journal (``"was started with seed=7; ..."``),
+    for callers that must not reveal where the journal lives.
+    """
+
+    def __init__(self, message: str, detail: str = "") -> None:
+        super().__init__(message)
+        self.detail = detail or message
 
 
 def read_jsonl_tolerant(path: Path) -> tuple[list[dict], bool]:
@@ -84,8 +93,8 @@ def read_jsonl_tolerant(path: Path) -> tuple[list[dict], bool]:
                 truncated = True
                 break
             raise JournalError(
-                f"corrupt journal line {i + 1} in {path}: {line[:80]!r}"
-            ) from None
+                f"corrupt journal line {i + 1} in {path}: {line[:80]!r}",
+                f"is corrupt at line {i + 1}: {line[:80]!r}") from None
     if truncated and OBS.enabled:
         OBS.metrics.counter("journal.truncated_tail").inc()
     return parsed, truncated
@@ -158,10 +167,12 @@ class EventJournal:
                     key for key in set(recorded) | set(fingerprint)
                     if recorded.get(key) != fingerprint.get(key))
                 if differing:
-                    raise JournalError(
-                        f"journal {self.path} was started with "
+                    detail = (
+                        "was started with "
                         f"{_assignments(recorded, differing)}; cannot "
                         f"resume with {_assignments(fingerprint, differing)}")
+                    raise JournalError(f"journal {self.path} {detail}",
+                                       detail)
                 if self.truncated_tail:
                     # cut the forgiven fragment: the next append must
                     # start a line of its own, not extend the torn one

@@ -50,7 +50,10 @@ workers); this module is the campaign-shaped subclass: experiment
 specs become tasks keyed by experiment id and grouped by scenario,
 completion publishes the canonical per-experiment artifact, and the
 journal vocabulary, obs counters and report contract of PR 4 are
-unchanged.
+unchanged.  Scenarios are scheduled by that module's one multiplexer
+(``SupervisorConfig.max_workers`` slots, 1 by default): a scenario
+waiting out a retry backoff yields its slot to the next scenario, and
+the artifacts do not depend on the slot count or on isolation.
 """
 
 from __future__ import annotations

@@ -18,16 +18,20 @@ machinery with the work abstracted out:
   finished task's payload.  A publish that raises :class:`PublishError`
   counts as a *failed attempt* and re-enters the retry loop: that is
   the fleet's self-healing path for shard artifacts that land corrupt;
-* ``SupervisorConfig.max_workers`` > 1 enables a single-threaded
-  multiplexing scheduler (``multiprocessing.connection.wait`` over all
-  live worker pipes, time-gated backoff instead of blocking sleeps) so
-  independent groups run concurrently.  ``max_workers == 1`` keeps the
-  original strictly-sequential scheduler -- byte-for-byte the campaign
-  behaviour, injectable ``sleep`` and all.
+* there is one scheduler, a single-threaded multiplexer
+  (``multiprocessing.connection.wait`` over every live worker pipe).
+  ``SupervisorConfig.max_workers`` is its slot count: how many group
+  workers may run at once (1 runs one group at a time).  Backoff is a
+  time gate, never a blocking sleep, so a group waiting out its retry
+  delay yields its slot to the next group.  Without process isolation
+  (``isolated=False`` or no ``fork``) a group's round runs in-process
+  when it is launched, through the same loop and the same post-round
+  accounting.
 
 Everything observable about the PR 4 supervisor (journal event
-vocabulary, retry/breaker semantics, kill conditions, obs counters) is
-preserved; only the nouns are now parameters.
+vocabulary, per-task event order, retry/breaker/round-cap semantics,
+kill conditions, obs counters) is preserved; only the nouns are now
+parameters, and groups may interleave in the journal.
 """
 
 from __future__ import annotations
@@ -69,11 +73,13 @@ class SupervisorConfig:
     breaker_threshold: int = 3
     #: run workers as separate processes (False = in-process capture)
     isolated: bool = True
-    #: concurrent worker processes (1 = the sequential scheduler)
+    #: worker slots: group workers that may run at once (at least 1)
     max_workers: int = 1
-    #: injectable sleeper so tests never actually wait out backoffs
-    #: (sequential scheduler only; the concurrent scheduler time-gates)
-    sleep: Callable[[float], None] = time.sleep
+
+    def __post_init__(self) -> None:
+        if self.max_workers < 1:
+            raise ValueError(
+                f"max_workers must be at least 1, got {self.max_workers}")
 
 
 @dataclass(frozen=True)
@@ -197,10 +203,10 @@ def _worker_main(
 
 
 # ---------------------------------------------------------------------------
-# concurrent-scheduler state
+# scheduler state
 # ---------------------------------------------------------------------------
 class _GroupState:
-    """Retry-loop bookkeeping for one group under the multiplexer."""
+    """Retry-loop bookkeeping for one group."""
 
     __slots__ = ("key", "pending", "attempts", "last_error", "round_no",
                  "max_rounds", "eligible_at")
@@ -222,13 +228,12 @@ class _Handle:
     __slots__ = ("state", "proc", "conn", "tasks_by_id", "current",
                  "task_started", "last_beat", "kill_reason", "finished")
 
-    def __init__(self, state: _GroupState, proc, conn,
-                 tasks_by_id: dict[str, TaskSpec]) -> None:
+    def __init__(self, state: _GroupState, proc, conn) -> None:
         now = time.monotonic()
         self.state = state
         self.proc = proc
         self.conn = conn
-        self.tasks_by_id = tasks_by_id
+        self.tasks_by_id = {t.task_id: t for t in state.pending}
         self.current: Optional[str] = None
         self.task_started = now
         self.last_beat = now
@@ -299,24 +304,78 @@ class TaskSupervisor:
                            value=value, from_journal=from_journal)
 
     # ------------------------------------------------------------------
-    # execution entry point
+    # the scheduler
     # ------------------------------------------------------------------
     def execute(self, outcomes: dict[str, Any]) -> None:
         """Run every task not already present in ``outcomes``.
 
         ``outcomes`` is both the resume seed (pre-populated entries are
         skipped) and the result sink (every task ends up keyed by id).
+
+        One thread, many pipes: up to ``max_workers`` group workers run
+        at once and ``multiprocessing.connection.wait`` multiplexes
+        their messages.  A group that must retry goes back in the queue
+        behind a *time gate* (``eligible_at``) instead of a blocking
+        sleep, so its backoff never stalls another group's work.
+        Without process isolation a launched round runs in-process to
+        completion, then takes the same post-round path.
         """
-        breaker = CircuitBreaker(threshold=self.config.breaker_threshold)
-        groups = [(key, [t for t in group if t.task_id not in outcomes])
-                  for key, group in self._groups()]
-        groups = [(key, pending) for key, pending in groups if pending]
-        if (self._ctx is not None and self.config.max_workers > 1
-                and len(groups) > 1):
-            self._run_concurrent(groups, breaker, outcomes)
-        else:
-            for group_key, pending in groups:
-                self._run_group(group_key, pending, breaker, outcomes)
+        cfg = self.config
+        breaker = CircuitBreaker(threshold=cfg.breaker_threshold)
+        waiting: list[_GroupState] = []
+        for key, group in self._groups():
+            pending = [t for t in group if t.task_id not in outcomes]
+            if pending:
+                waiting.append(
+                    _GroupState(key, pending, self._max_rounds(pending)))
+        handles: list[_Handle] = []
+        while waiting or handles:
+            now = time.monotonic()
+            # launch rounds into free slots
+            still_waiting: list[_GroupState] = []
+            for state in waiting:
+                if breaker.is_open(state.key):
+                    self._skip_group(state, breaker, outcomes)
+                    continue
+                if len(handles) >= cfg.max_workers or now < state.eligible_at:
+                    still_waiting.append(state)
+                    continue
+                state.round_no += 1
+                if state.round_no > state.max_rounds:
+                    for task in state.pending:
+                        reason = state.last_error.get(
+                            task.task_id, "supervisor made no progress")
+                        self._finalize_failure(task, state, reason, outcomes)
+                    continue
+                if self._ctx is None:
+                    self._run_batch_inline(state, breaker, outcomes)
+                    self._end_round(state, still_waiting, outcomes)
+                else:
+                    handles.append(self._spawn(state))
+            waiting = still_waiting
+            if not handles:
+                if waiting:
+                    # everything is backoff-gated; nap until the
+                    # earliest gate (bounded by the poll interval)
+                    gap = (min(s.eligible_at for s in waiting)
+                           - time.monotonic())
+                    time.sleep(max(0.0, min(gap, cfg.poll_interval)))
+                continue
+            # wait for any worker to speak (or the poll tick)
+            ready = set(multiprocessing.connection.wait(
+                [h.conn for h in handles], timeout=cfg.poll_interval))
+            survivors: list[_Handle] = []
+            for handle in handles:
+                if handle.conn in ready:
+                    self._drain_handle(handle, breaker, outcomes)
+                self._check_handle(handle)
+                if (handle.finished or handle.kill_reason is not None
+                        or not handle.proc.is_alive()):
+                    self._reap_handle(handle, breaker, outcomes)
+                    self._end_round(handle.state, waiting, outcomes)
+                else:
+                    survivors.append(handle)
+            handles = survivors
 
     def _groups(self) -> list[tuple[str, list[TaskSpec]]]:
         """Tasks grouped by group key (order of first appearance)."""
@@ -336,162 +395,100 @@ class TaskSupervisor:
         return (self.config.retry.max_attempts * len(pending)
                 + self.config.breaker_threshold)
 
-    # ------------------------------------------------------------------
-    # sequential scheduler (max_workers == 1): the PR 4 behaviour
-    # ------------------------------------------------------------------
-    def _run_group(
-        self,
-        group_key: str,
-        pending: list[TaskSpec],
-        breaker: CircuitBreaker,
-        outcomes: dict[str, Any],
-    ) -> None:
-        retry = self.config.retry
-        attempts: dict[str, int] = {}
-        last_error: dict[str, str] = {}
-        round_no = 0
-        max_rounds = self._max_rounds(pending)
-        while pending:
-            if breaker.is_open(group_key):
-                self._skip_group(group_key, pending, breaker, attempts,
-                                 outcomes)
-                return
-            round_no += 1
-            if round_no > max_rounds:
-                for task in pending:
-                    reason = last_error.get(
-                        task.task_id, "supervisor made no progress")
-                    self._finalize_failure(task, attempts, reason, outcomes)
-                return
-            if self._ctx is not None:
-                self._run_batch_isolated(
-                    group_key, pending, attempts, last_error, breaker,
-                    outcomes)
-            else:
-                self._run_batch_inline(
-                    group_key, pending, attempts, last_error, breaker,
-                    outcomes)
-            pending = self._next_round(group_key, pending, attempts,
-                                       last_error, outcomes)
-            if pending and not breaker.is_open(group_key):
-                self.config.sleep(retry.backoff(round_no, key=group_key))
-
-    def _next_round(
-        self,
-        group_key: str,
-        pending: list[TaskSpec],
-        attempts: dict[str, int],
-        last_error: dict[str, str],
-        outcomes: dict[str, Any],
-    ) -> list[TaskSpec]:
-        """Post-batch accounting: drop finished tasks, finalize tasks
-        whose retry budget is spent, return what is still runnable."""
+    def _end_round(self, state: _GroupState, queue: list[_GroupState],
+                   outcomes: dict[str, Any]) -> None:
+        """Post-round accounting: drop finished tasks, finalize tasks
+        whose retry budget is spent, and re-queue the rest behind the
+        group's backoff gate."""
         retry = self.config.retry
         still = []
-        for task in pending:
+        for task in state.pending:
             if task.task_id in outcomes:
                 continue
-            if retry.allows(attempts.get(task.task_id, 0) + 1):
+            if retry.allows(state.attempts.get(task.task_id, 0) + 1):
                 still.append(task)
             else:
                 self._finalize_failure(
-                    task, attempts,
-                    f"retries exhausted ({attempts[task.task_id]} "
+                    task, state,
+                    f"retries exhausted ({state.attempts[task.task_id]} "
                     f"attempts; last: "
-                    f"{last_error.get(task.task_id, 'unknown')})",
+                    f"{state.last_error.get(task.task_id, 'unknown')})",
                     outcomes)
-        return still
+        state.pending = still
+        if still:
+            state.eligible_at = time.monotonic() + retry.backoff(
+                state.round_no, key=state.key)
+            queue.append(state)
 
-    def _skip_group(
-        self,
-        group_key: str,
-        pending: list[TaskSpec],
-        breaker: CircuitBreaker,
-        attempts: dict[str, int],
-        outcomes: dict[str, Any],
-    ) -> None:
-        reason = (f"circuit open for {group_key}: "
-                  f"{breaker.reason(group_key)}")
-        for task in pending:
+    def _skip_group(self, state: _GroupState, breaker: CircuitBreaker,
+                    outcomes: dict[str, Any]) -> None:
+        reason = (f"circuit open for {state.key}: "
+                  f"{breaker.reason(state.key)}")
+        for task in state.pending:
             self.journal.append("skip", **{self.id_field: task.task_id},
                                 reason=reason)
             outcomes[task.task_id] = self._make_outcome(
-                task, "skipped", attempts.get(task.task_id, 0),
+                task, "skipped", state.attempts.get(task.task_id, 0),
                 reason=reason)
 
-    def _finalize_failure(
-        self,
-        task: TaskSpec,
-        attempts: dict[str, int],
-        reason: str,
-        outcomes: dict[str, Any],
-    ) -> None:
+    def _finalize_failure(self, task: TaskSpec, state: _GroupState,
+                          reason: str, outcomes: dict[str, Any]) -> None:
+        attempts = state.attempts.get(task.task_id, 0)
         self.journal.append("failed", **{self.id_field: task.task_id},
-                            attempts=attempts.get(task.task_id, 0),
-                            reason=reason)
+                            attempts=attempts, reason=reason)
         outcomes[task.task_id] = self._make_outcome(
-            task, "failed", attempts.get(task.task_id, 0), reason=reason)
+            task, "failed", attempts, reason=reason)
 
     # ------------------------------------------------------------------
-    # per-message bookkeeping (shared by both schedulers)
+    # per-message bookkeeping
     # ------------------------------------------------------------------
-    def _complete(
-        self,
-        task: TaskSpec,
-        payload: Any,
-        attempts: dict[str, int],
-        last_error: dict[str, str],
-        breaker: CircuitBreaker,
-        group_key: str,
-        outcomes: dict[str, Any],
-    ) -> None:
-        attempt = attempts.get(task.task_id, 1)
+    def _start(self, task_id: str, attempt: int, state: _GroupState,
+               isolated: bool) -> None:
+        state.attempts[task_id] = attempt
+        self.journal.append("start", **{self.id_field: task_id},
+                            attempt=attempt, isolated=isolated)
+
+    def _complete(self, task: TaskSpec, payload: Any, state: _GroupState,
+                  breaker: CircuitBreaker, outcomes: dict[str, Any]) -> None:
+        attempt = state.attempts.get(task.task_id, 1)
         # publish first, completion event second: a crash in between
         # re-runs the task, which is safe because published artifacts
         # are deterministic and atomically replaced
         try:
             value = self._publish(task, payload, attempt)
         except PublishError as exc:
-            self._attempt_failed(task, f"publish failed: {exc}", attempts,
-                                 last_error, breaker, group_key)
+            self._attempt_failed(task, f"publish failed: {exc}", state,
+                                 breaker)
             return
         self.journal.append("complete", **{self.id_field: task.task_id},
                             attempt=attempt,
                             **self._complete_fields(task, value))
         outcomes[task.task_id] = self._make_outcome(
             task, "completed", attempt, value=value)
-        breaker.record_success(group_key)
+        breaker.record_success(state.key)
 
-    def _attempt_failed(
-        self,
-        task: TaskSpec,
-        reason: str,
-        attempts: dict[str, int],
-        last_error: dict[str, str],
-        breaker: CircuitBreaker,
-        group_key: str,
-    ) -> None:
-        last_error[task.task_id] = reason
+    def _attempt_failed(self, task: TaskSpec, reason: str,
+                        state: _GroupState, breaker: CircuitBreaker) -> None:
+        state.last_error[task.task_id] = reason
         self.journal.append("attempt-failed",
                             **{self.id_field: task.task_id},
-                            attempt=attempts.get(task.task_id, 1),
+                            attempt=state.attempts.get(task.task_id, 1),
                             reason=reason)
         if OBS.enabled:
             OBS.metrics.counter(f"{self.metric_prefix}.retries").inc()
-        if breaker.record_failure(group_key, reason):
-            self.journal.append("breaker-open", key=group_key,
-                                reason=reason)
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    f"{self.metric_prefix}.breaker_open").inc()
+        self._charge(state.key, reason, breaker)
 
-    def _worker_lost(self, group_key: str, reason: str,
+    def _worker_lost(self, state: _GroupState, reason: str,
                      breaker: CircuitBreaker) -> None:
         # death between tasks: charge the group, not a task -- the
         # round cap bounds repeat offenders
-        self.journal.append("worker-lost", group=group_key, reason=reason)
+        self.journal.append("worker-lost", group=state.key, reason=reason)
         if OBS.enabled:
             OBS.metrics.counter(f"{self.metric_prefix}.worker_lost").inc()
+        self._charge(state.key, reason, breaker)
+
+    def _charge(self, group_key: str, reason: str,
+                breaker: CircuitBreaker) -> None:
         if breaker.record_failure(group_key, reason):
             self.journal.append("breaker-open", key=group_key,
                                 reason=reason)
@@ -500,17 +497,10 @@ class TaskSupervisor:
                     f"{self.metric_prefix}.breaker_open").inc()
 
     # ------------------------------------------------------------------
-    # batch runners
+    # running one round
     # ------------------------------------------------------------------
-    def _run_batch_inline(
-        self,
-        group_key: str,
-        batch: list[TaskSpec],
-        attempts: dict[str, int],
-        last_error: dict[str, str],
-        breaker: CircuitBreaker,
-        outcomes: dict[str, Any],
-    ) -> None:
+    def _run_batch_inline(self, state: _GroupState, breaker: CircuitBreaker,
+                          outcomes: dict[str, Any]) -> None:
         """Degraded mode: exception capture without process isolation.
 
         Reuses :func:`repro.core.analysis.guarded` -- the same
@@ -520,210 +510,34 @@ class TaskSupervisor:
         """
         from repro.core.analysis import guarded
 
-        for task in batch:
-            if breaker.is_open(group_key):
+        for task in state.pending:
+            if breaker.is_open(state.key):
                 return
-            attempts[task.task_id] = attempts.get(task.task_id, 0) + 1
-            self.journal.append("start", **{self.id_field: task.task_id},
-                                attempt=attempts[task.task_id],
-                                isolated=False)
+            self._start(task.task_id, state.attempts.get(task.task_id, 0) + 1,
+                        state, isolated=False)
             errors: dict[str, str] = {}
             payload = guarded(task.task_id,
                               lambda: task.run(self.seed), None, errors)
             if task.task_id in errors:
-                self._attempt_failed(task, errors[task.task_id], attempts,
-                                     last_error, breaker, group_key)
+                self._attempt_failed(task, errors[task.task_id], state,
+                                     breaker)
                 continue
-            self._complete(task, payload, attempts, last_error, breaker,
-                           group_key, outcomes)
+            self._complete(task, payload, state, breaker, outcomes)
 
-    def _spawn(self, state_or_key, batch: list[TaskSpec],
-               attempts: dict[str, int]):
-        """Fork one worker for a batch; returns ``(proc, conn)``."""
-        next_attempts = {
-            t.task_id: attempts.get(t.task_id, 0) + 1 for t in batch}
+    def _spawn(self, state: _GroupState) -> _Handle:
+        """Fork one worker for the group's pending batch."""
+        next_attempts = {t.task_id: state.attempts.get(t.task_id, 0) + 1
+                         for t in state.pending}
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, batch, self.seed, next_attempts,
+            args=(child_conn, state.pending, self.seed, next_attempts,
                   self.config.heartbeat_interval, self.task_span,
                   self.span_category, self.span_tag),
         )
         proc.start()
         child_conn.close()
-        return proc, parent_conn
-
-    def _run_batch_isolated(
-        self,
-        group_key: str,
-        batch: list[TaskSpec],
-        attempts: dict[str, int],
-        last_error: dict[str, str],
-        breaker: CircuitBreaker,
-        outcomes: dict[str, Any],
-    ) -> None:
-        """Spawn one worker for the batch and babysit it to completion.
-
-        Returns when the worker exits (cleanly or not) or is killed for
-        blowing a deadline / losing its heartbeat.  Per-task bookkeeping
-        happens as the messages arrive, so anything the worker finished
-        before dying stays finished.
-        """
-        cfg = self.config
-        tasks_by_id = {t.task_id: t for t in batch}
-        proc, parent_conn = self._spawn(group_key, batch, attempts)
-        now = time.monotonic()
-        last_beat = now
-        current: Optional[str] = None
-        task_started = now
-        kill_reason: Optional[str] = None
-        try:
-            while True:
-                got = parent_conn.poll(cfg.poll_interval)
-                now = time.monotonic()
-                if got:
-                    try:
-                        message = parent_conn.recv()
-                    except (EOFError, OSError):
-                        break
-                    kind = message[0]
-                    if kind == "heartbeat":
-                        last_beat = now
-                    elif kind == "start":
-                        _, task_id, attempt = message
-                        current = task_id
-                        task_started = now
-                        last_beat = now
-                        attempts[task_id] = attempt
-                        self.journal.append(
-                            "start", **{self.id_field: task_id},
-                            attempt=attempt, isolated=True)
-                    elif kind == "done":
-                        _, task_id, payload = message
-                        self._complete(tasks_by_id[task_id], payload,
-                                       attempts, last_error, breaker,
-                                       group_key, outcomes)
-                        current = None
-                    elif kind == "error":
-                        _, task_id, reason = message
-                        self._attempt_failed(
-                            tasks_by_id[task_id], reason, attempts,
-                            last_error, breaker, group_key)
-                        current = None
-                    elif kind == "obs":
-                        OBS.absorb(message[1])
-                    elif kind == "exit":
-                        break
-                    continue
-                if current is not None and now - task_started > cfg.deadline:
-                    kill_reason = (
-                        f"deadline exceeded ({cfg.deadline:.1f}s) -- "
-                        "worker killed")
-                    break
-                if now - last_beat > cfg.heartbeat_grace:
-                    kill_reason = (
-                        f"heartbeat lost (> {cfg.heartbeat_grace:.1f}s "
-                        "silence) -- worker killed")
-                    break
-                if not proc.is_alive():
-                    break
-        finally:
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=10.0)
-            parent_conn.close()
-        if kill_reason is None and current is not None:
-            kill_reason = f"worker died (exit code {proc.exitcode})"
-        if current is not None:
-            self._attempt_failed(
-                tasks_by_id[current], kill_reason or "worker died",
-                attempts, last_error, breaker, group_key)
-        elif kill_reason is not None:
-            self._worker_lost(group_key, kill_reason, breaker)
-
-    # ------------------------------------------------------------------
-    # concurrent scheduler (max_workers > 1): single-threaded multiplexer
-    # ------------------------------------------------------------------
-    def _run_concurrent(
-        self,
-        groups: list[tuple[str, list[TaskSpec]]],
-        breaker: CircuitBreaker,
-        outcomes: dict[str, Any],
-    ) -> None:
-        """Babysit up to ``max_workers`` group workers at once.
-
-        One thread, many pipes: ``multiprocessing.connection.wait``
-        multiplexes every live worker's messages, and per-group backoff
-        is a *time gate* (``eligible_at``) instead of a blocking sleep,
-        so one group's retry wait never stalls another group's work.
-        Per-group retry/breaker/round-cap semantics are identical to
-        the sequential scheduler.
-        """
-        cfg = self.config
-        waiting = [
-            _GroupState(key, list(pending), self._max_rounds(pending))
-            for key, pending in groups
-        ]
-        handles: list[_Handle] = []
-        while waiting or handles:
-            now = time.monotonic()
-            # launch workers into free slots
-            still_waiting: list[_GroupState] = []
-            for state in waiting:
-                if len(handles) >= cfg.max_workers:
-                    still_waiting.append(state)
-                    continue
-                if breaker.is_open(state.key):
-                    self._skip_group(state.key, state.pending, breaker,
-                                     state.attempts, outcomes)
-                    continue
-                if now < state.eligible_at:
-                    still_waiting.append(state)
-                    continue
-                state.round_no += 1
-                if state.round_no > state.max_rounds:
-                    for task in state.pending:
-                        reason = state.last_error.get(
-                            task.task_id, "supervisor made no progress")
-                        self._finalize_failure(task, state.attempts,
-                                               reason, outcomes)
-                    continue
-                proc, conn = self._spawn(state, state.pending,
-                                         state.attempts)
-                handles.append(_Handle(
-                    state, proc, conn,
-                    {t.task_id: t for t in state.pending}))
-            waiting = still_waiting
-            if not handles:
-                if waiting:
-                    # everything is backoff-gated; nap until the
-                    # earliest gate (bounded by the poll interval)
-                    gap = min(s.eligible_at for s in waiting) - now
-                    time.sleep(max(0.0, min(gap, cfg.poll_interval)))
-                continue
-            # wait for any worker to speak (or the poll tick)
-            ready = multiprocessing.connection.wait(
-                [h.conn for h in handles], timeout=cfg.poll_interval)
-            ready_set = set(ready)
-            for handle in handles:
-                if handle.conn in ready_set:
-                    self._drain_handle(handle, breaker, outcomes)
-                self._check_handle(handle)
-            survivors: list[_Handle] = []
-            for handle in handles:
-                if (handle.finished or handle.kill_reason is not None
-                        or not handle.proc.is_alive()):
-                    self._reap_handle(handle, breaker, outcomes)
-                    if handle.state.pending:
-                        # time-gate the next round; never block the loop
-                        handle.state.eligible_at = (
-                            time.monotonic() + cfg.retry.backoff(
-                                handle.state.round_no,
-                                key=handle.state.key))
-                        waiting.append(handle.state)
-                else:
-                    survivors.append(handle)
-            handles = survivors
+        return _Handle(state, proc, parent_conn)
 
     def _drain_handle(self, handle: _Handle, breaker: CircuitBreaker,
                       outcomes: dict[str, Any]) -> None:
@@ -746,20 +560,16 @@ class TaskSupervisor:
                 handle.current = task_id
                 handle.task_started = now
                 handle.last_beat = now
-                state.attempts[task_id] = attempt
-                self.journal.append("start", **{self.id_field: task_id},
-                                    attempt=attempt, isolated=True)
+                self._start(task_id, attempt, state, isolated=True)
             elif kind == "done":
                 _, task_id, payload = message
-                self._complete(handle.tasks_by_id[task_id], payload,
-                               state.attempts, state.last_error, breaker,
-                               state.key, outcomes)
+                self._complete(handle.tasks_by_id[task_id], payload, state,
+                               breaker, outcomes)
                 handle.current = None
             elif kind == "error":
                 _, task_id, reason = message
-                self._attempt_failed(
-                    handle.tasks_by_id[task_id], reason, state.attempts,
-                    state.last_error, breaker, state.key)
+                self._attempt_failed(handle.tasks_by_id[task_id], reason,
+                                     state, breaker)
                 handle.current = None
             elif kind == "obs":
                 OBS.absorb(message[1])
@@ -785,9 +595,7 @@ class TaskSupervisor:
 
     def _reap_handle(self, handle: _Handle, breaker: CircuitBreaker,
                      outcomes: dict[str, Any]) -> None:
-        """Close out one worker: kill if needed, charge the casualty,
-        and run the group's post-round accounting."""
-        state = handle.state
+        """Close out one worker: kill if needed and charge the casualty."""
         if handle.proc.is_alive():
             handle.proc.kill()
         handle.proc.join(timeout=10.0)
@@ -800,12 +608,8 @@ class TaskSupervisor:
             kill_reason = (
                 f"worker died (exit code {handle.proc.exitcode})")
         if handle.current is not None:
-            self._attempt_failed(
-                handle.tasks_by_id[handle.current],
-                kill_reason or "worker died", state.attempts,
-                state.last_error, breaker, state.key)
+            self._attempt_failed(handle.tasks_by_id[handle.current],
+                                 kill_reason or "worker died", handle.state,
+                                 breaker)
         elif kill_reason is not None:
-            self._worker_lost(state.key, kill_reason, breaker)
-        state.pending = self._next_round(
-            state.key, state.pending, state.attempts, state.last_error,
-            outcomes)
+            self._worker_lost(handle.state, kill_reason, breaker)

@@ -49,6 +49,7 @@ STATUS_PHRASES = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",

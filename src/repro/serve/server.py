@@ -51,6 +51,7 @@ from typing import Optional, Union
 from repro import api
 from repro.core.serialize import canonical_json
 from repro.obs import OBS
+from repro.runtime.journal import JournalError
 from repro.serve.cache import (
     CachedResponse,
     ReportCache,
@@ -287,7 +288,8 @@ class DiagnosisService:
                 400, f"unknown fleet field(s) {', '.join(unknown)}; "
                      f"expected a subset of {', '.join(sorted(known))}")
         self._admit(request)
-        out = self._resolve_dir(str(data.get("out", "")), "out")
+        raw_out = str(data.get("out", ""))
+        out = self._resolve_dir(raw_out, "out")
         try:
             params = {
                 "systems": int(data.get("systems", 100)),
@@ -312,6 +314,12 @@ class DiagnosisService:
             body, joined = await self.coalescer.run(key, compute)
         except HttpError:
             raise
+        except JournalError as exc:
+            # a refused resume is the client's conflict, not a server
+            # fault; name the fleet as the client did, never by the
+            # server-side path
+            raise HttpError(409, f"fleet journal in {raw_out!r} "
+                                 f"{exc.detail}")
         except (ValueError, KeyError, OSError) as exc:
             raise HttpError(400, str(exc))
         return api.ServiceResponse(

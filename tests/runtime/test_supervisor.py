@@ -39,7 +39,6 @@ def fast_config(**overrides):
         heartbeat_grace=5.0,
         retry=RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05),
         breaker_threshold=3,
-        sleep=lambda seconds: None,
     )
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
@@ -295,3 +294,82 @@ class TestResume:
         report = CampaignSupervisor(tmp_path / "camp", seed=7, specs=SPECS,
                                     config=config).run(resume=True)
         assert all(o.from_journal for o in report.outcomes)
+
+
+class TestScheduler:
+    """One scheduler: ``max_workers`` is a slot count, and whether a
+    round runs in a forked worker or in-process is an execution
+    detail -- the published bytes and the outcomes never depend on it."""
+
+    def test_max_workers_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="max_workers must be at "
+                           "least 1, got 0"):
+            fast_config(max_workers=0)
+
+    @supervision
+    def test_slot_count_and_isolation_publish_the_same_bytes(
+            self, tmp_path):
+        runs = {"one-slot": fast_config(max_workers=1),
+                "three-slots": fast_config(max_workers=3),
+                "inline": fast_config(isolated=False)}
+        published = {}
+        for name, config in runs.items():
+            sup = CampaignSupervisor(tmp_path / name, seed=7, specs=SPECS,
+                                     config=config)
+            report = sup.run()
+            artifacts = sorted((sup.journal.root / "artifacts").glob("*.json"))
+            published[name] = (
+                {path.name: path.read_bytes() for path in artifacts},
+                [(o.experiment, o.scenario, o.status, o.attempts, o.reason,
+                  o.result.to_json()) for o in report.outcomes])
+        reference = published["one-slot"]
+        assert len(reference[0]) == len(SPECS)
+        assert published["three-slots"] == reference
+        assert published["inline"] == reference
+
+    @staticmethod
+    def _order(sup):
+        return [(e["event"], e.get("experiment"))
+                for e in sup.journal.events()]
+
+    @supervision
+    def test_backing_off_group_yields_the_only_slot(self, tmp_path,
+                                                    monkeypatch):
+        """With one slot, ``sB`` runs while ``sA`` waits out its backoff
+        instead of queueing behind ``sA``'s retry."""
+        install_plan(monkeypatch, tmp_path,
+                     {"a1": [FaultSpec("crash", attempts=(1,))]})
+        specs = (spec("a1", "sA"), spec("b1", "sB"))
+        sup = CampaignSupervisor(tmp_path / "camp", specs=specs,
+                                 config=fast_config(max_workers=1))
+        report = sup.run()
+        assert all(o.completed for o in report.outcomes)
+        order = self._order(sup)
+        a1_starts = [i for i, e in enumerate(order) if e == ("start", "a1")]
+        assert len(a1_starts) == 2
+        assert order.index(("complete", "b1")) < a1_starts[1]
+        a1_events = [event for event, exp in order if exp == "a1"]
+        assert a1_events == ["start", "attempt-failed", "start", "complete"]
+
+    def test_inline_backoff_yields_to_the_next_group(self, tmp_path):
+        """The same order in-process: a launched round runs to
+        completion, then re-queues behind its backoff gate."""
+        calls = []
+
+        def flaky(seed):
+            calls.append(seed)
+            if len(calls) == 1:
+                raise RuntimeError("first attempt fails")
+            return ExperimentResult("a1", "title a1", {"seed": seed},
+                                    {}, True)
+
+        specs = (ExperimentSpec("a1", "sA", flaky), spec("b1", "sB"))
+        sup = CampaignSupervisor(tmp_path / "camp", specs=specs,
+                                 config=fast_config(isolated=False))
+        report = sup.run()
+        assert all(o.completed for o in report.outcomes)
+        assert self._order(sup)[1:] == [
+            ("start", "a1"), ("attempt-failed", "a1"),
+            ("start", "b1"), ("complete", "b1"),
+            ("start", "a1"), ("complete", "a1"),
+            ("campaign-end", None)]

@@ -249,6 +249,72 @@ class TestIntrospectionEndpoints:
         assert health["backpressure"]["max_pending"] >= 1
 
 
+class TestFleetEndpoint:
+    @pytest.fixture(autouse=True)
+    def private_member_cache(self, tmp_path, monkeypatch):
+        # fleet members materialise into the scenario cache; keep the
+        # shard workers' stores out of the shared one
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    @staticmethod
+    def fleet_body(**fields) -> bytes:
+        return json.dumps({"out": "fleet", "systems": 1, "days": 1,
+                           **fields}).encode("utf-8")
+
+    def test_parity_with_direct_api(self, service_root, tmp_path):
+        expected = canonical_json(api.diagnose_fleet(
+            tmp_path / "direct", systems=1, days=1).to_jsonable()
+        ).encode("utf-8")
+
+        async def action(service):
+            return await http_request(service.host, service.port, "POST",
+                                      "/v1/fleet", self.fleet_body())
+
+        status, _, body = run(with_service(service_root, action))
+        assert status == 200
+        assert body == expected
+
+    def test_refused_resume_is_409_without_server_paths(self,
+                                                        service_root):
+        async def action(service):
+            first = await http_request(service.host, service.port, "POST",
+                                       "/v1/fleet",
+                                       self.fleet_body(seed=21))
+            refused = await http_request(
+                service.host, service.port, "POST", "/v1/fleet",
+                self.fleet_body(seed=22, resume=True))
+            return first[0], refused
+
+        first, (status, _, body) = run(with_service(service_root, action))
+        assert first == 200
+        assert status == 409
+        assert json.loads(body) == {
+            "error": "fleet journal in 'fleet' was started with seed=21; "
+                     "cannot resume with seed=22"}
+        for root in {str(service_root), str(service_root.resolve())}:
+            assert root.encode("utf-8") not in body
+
+    def test_damaged_journal_resume_is_409_without_server_paths(
+            self, service_root):
+        journal = service_root / "fleet" / "journal.jsonl"
+        journal.parent.mkdir()
+        journal.write_text('garbage\n{"event": "fleet-start"}\n',
+                           encoding="utf-8")
+
+        async def action(service):
+            return await http_request(service.host, service.port, "POST",
+                                      "/v1/fleet",
+                                      self.fleet_body(resume=True))
+
+        status, _, body = run(with_service(service_root, action))
+        assert status == 409
+        assert json.loads(body) == {
+            "error": "fleet journal in 'fleet' is corrupt at line 1: "
+                     "'garbage'"}
+        for root in {str(service_root), str(service_root.resolve())}:
+            assert root.encode("utf-8") not in body
+
+
 class TestAlertStream:
     def test_streams_alert_lines_as_chunks(self, service_root):
         watch_dir = service_root / "watch"

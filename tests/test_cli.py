@@ -282,6 +282,25 @@ class TestWatchCommand:
         assert "Traceback" not in proc.stderr
 
 
+class TestFleetCommand:
+    def test_zero_max_workers_is_clean_error(self, tmp_path):
+        """Zero worker slots can never make progress: refused up front
+        with a one-line error (a real process, so a hang would show as
+        the timeout rather than pass)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "fleet",
+             str(tmp_path / "fleet"), "--systems", "1", "--days", "1",
+             "--max-workers", "0"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: max_workers must be at least 1, got 0\n"
+        assert not (tmp_path / "fleet").exists()
+
+
 class TestCacheCommand:
     def test_stats_clear_verify_roundtrip(self, logdir, tmp_path, capsys):
         cache_dir = tmp_path / "cli-cache"
